@@ -13,9 +13,7 @@ from .allocator import (
 )
 from .estimator import (
     EstimatorState,
-    WeightOverflowError,
     confidence_radius_f,
-    weight,
     width,
 )
 from .harness import (
@@ -38,14 +36,9 @@ from .initialization import (
 )
 from .model import (
     Allocation,
-    Observation,
     OptimalProfile,
     ProblemInstance,
-    beta,
-    brute_force_optimal,
-    instantaneous_regret,
     optimal_profile,
-    sample_step,
     split_rng,
 )
 
@@ -59,22 +52,17 @@ __all__ = [
     "ExperimentResult",
     "InitRecord",
     "MinimaxStressResult",
-    "Observation",
     "OptimalProfile",
     "PolicyOptions",
     "ProblemInstance",
     "RunTrace",
-    "WeightOverflowError",
     "allocate",
-    "beta",
     "bootstrap_ci",
-    "brute_force_optimal",
     "confidence_radius_f",
     "default_delta",
     "emit_csv",
     "halving_init",
     "init_budget",
-    "instantaneous_regret",
     "minimax_family",
     "minimax_stress",
     "optimal_profile",
@@ -82,9 +70,7 @@ __all__ = [
     "run_experiment",
     "run_modified",
     "sample_eta",
-    "sample_step",
     "split_rng",
     "regret_upper_bound",
-    "weight",
     "width",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 from .estimator import EstimatorState
 from .model import (
     Allocation,
+    OptimalProfile,
     ProblemInstance,
     optimal_profile,
     split_rng,
@@ -32,6 +34,10 @@ MODES = ("weighted", "unweighted")
 # Uniform draws are pre-generated in blocks of this many steps; the stream
 # order (step-major, job-minor) is identical to per-step sampling.
 _DRAW_BLOCK = 1024
+
+# 2^-64 is the smallest probe allocation; beyond that the schedule is
+# meaningless at double precision.
+MAX_HALVING_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,121 @@ def allocate(lower_recips: Sequence[float], budget: float = 1.0) -> Allocation:
 
 
 def default_delta(horizon: int, num_jobs: int) -> float:
-    """Per-update confidence level (n K)^-2."""
-    return float(horizon * num_jobs) ** -2
+    """Per-update confidence level (n K)^-2, with n K floored at 2 so that a
+    one-step, one-job episode still gets a level inside (0, 1)."""
+    return float(max(horizon * num_jobs, 2)) ** -2
+
+
+def _simulate(
+    instance: ProblemInstance,
+    options: PolicyOptions,
+    profile: OptimalProfile,
+    rng: np.random.Generator,
+    lower_bounds: Optional[Sequence[float]],
+) -> tuple:
+    """The step loop behind both episode runners.
+
+    With ``lower_bounds`` every estimator starts from its bound. With None,
+    job k's halving probe starts at step k+1 and allocates 2^-(local step)
+    until its first failure or the 64-step guard; the job's estimator is
+    then built from the last probe allocation. Per step the active probes
+    take their share first, the main policy allocates the rest among jobs
+    that have an estimator, one outcome is sampled per job from its total
+    allocation, and only main-policy outcomes update estimators.
+    Pseudo-regret is charged from step 1.
+
+    Returns the trace and, per job, ``(steps_used, capped)`` of its finished
+    probe (None for a job whose probe never finished or never ran).
+    """
+    K = instance.num_jobs
+    n = instance.horizon
+    delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
+    weighted = options.mode == "weighted"
+    recips = instance.recips
+    rho_star = profile.rho_star
+    probing = lower_bounds is None
+
+    def build(nu_lower0: float) -> EstimatorState:
+        return EstimatorState(nu_lower0, delta, options.u_alpha_levels, weighted=weighted)
+
+    states = [None] * K if probing else [build(v) for v in lower_bounds]
+    probe_ends = [None] * K
+    probes: list = []  # jobs whose probe is running, in job order
+
+    # Flat step-major buffers; appending is cheaper than per-step numpy writes.
+    allocations = array("d")
+    observations = array("B")
+    regrets = array("d")
+    lower_hist = array("d") if options.record_intervals else None
+    upper_hist = array("d") if options.record_intervals else None
+
+    draws: list = []
+    pos = 0
+    for t in range(n):
+        if probing and t < K:
+            probes.append(t)
+        probe_total = 0.0
+        for k in probes:
+            probe_total += 2.0 ** (k - t - 1)
+        m = _allocate_raw(
+            [0.0 if s is None else s.lower_recip for s in states], 1.0 - probe_total
+        )
+        for k in probes:
+            m[k] = 2.0 ** (k - t - 1)
+
+        if pos >= len(draws):
+            draws = rng.random(_DRAW_BLOCK * K).tolist()
+            pos = 0
+        xs = []
+        reward = 0.0
+        for k in range(K):
+            mk = m[k]
+            x = 1 if draws[pos] < mk * recips[k] else 0
+            pos += 1
+            xs.append(x)
+            if mk > 0.0:
+                p = mk * recips[k]
+                reward += p if p < 1.0 else 1.0
+                # A probing job has no estimator yet; its outcome feeds the probe.
+                if states[k] is not None:
+                    states[k].update(mk, x)
+        if probes:
+            for k in probes:
+                local = t + 1 - k
+                if xs[k] == 0 or local == MAX_HALVING_STEPS:
+                    states[k] = build(2.0**-local)
+                    probe_ends[k] = (local, xs[k] == 1)
+            probes = [k for k in probes if states[k] is None]
+        allocations.extend(m)
+        observations.extend(xs)
+        regrets.append(rho_star - reward)
+        if options.record_intervals:
+            lower_hist.extend([0.0 if s is None else s.lower_recip for s in states])
+            upper_hist.extend([0.0 if s is None else s.upper_recip for s in states])
+
+    def rows(buf, dtype=np.float64):
+        return None if buf is None else np.frombuffer(buf, dtype).reshape(n, K)
+
+    metadata = {
+        "instance": instance.digest(),
+        "nus": list(instance.nus),
+        "horizon": n,
+        "base_seed": instance.base_seed,
+        "seed": options.seed,
+        "mode": options.mode,
+        "delta": delta,
+    }
+    regrets = np.frombuffer(regrets)
+    return RunTrace(
+        allocations=rows(allocations),
+        observations=rows(observations, np.uint8),
+        regrets=regrets,
+        cum_regrets=np.cumsum(regrets),
+        estimators=states,
+        metadata=metadata,
+        lower_recips=rows(lower_hist),
+        upper_recips=rows(upper_hist),
+    ), probe_ends
 
 
 def run_episode(
@@ -167,74 +286,17 @@ def run_episode(
     (instance.base_seed, options.seed).
     """
     K = instance.num_jobs
-    n = instance.horizon
     lbs = [float(v) for v in initial_lower_bounds]
     if len(lbs) != K:
         raise ValueError(f"expected {K} initial lower bounds, got {len(lbs)}")
     for v in lbs:
         if not (v > 0 and math.isfinite(v)):
             raise ValueError(f"initial lower bounds must be positive, got {v}")
-
-    delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
-    weighted = options.mode == "weighted"
-    states = [
-        EstimatorState(lb, delta, options.u_alpha_levels, weighted=weighted) for lb in lbs
-    ]
     profile = optimal_profile(instance)
-    recips = instance.recips
-    rho_star = profile.rho_star
     rng = split_rng(instance.base_seed, options.seed)
-
-    allocations = np.empty((n, K))
-    observations = np.empty((n, K), dtype=np.uint8)
-    regrets = np.empty(n)
-    lower_hist = np.empty((n, K)) if options.record_intervals else None
-    upper_hist = np.empty((n, K)) if options.record_intervals else None
-
-    draws: list = []
-    pos = 0
-    for t in range(n):
-        if pos >= len(draws):
-            draws = rng.random(_DRAW_BLOCK * K).tolist()
-            pos = 0
-        m = _allocate_raw([s.lower_recip for s in states])
-        reward = 0.0
-        for k in range(K):
-            mk = m[k]
-            x = 1 if draws[pos] < mk * recips[k] else 0
-            pos += 1
-            observations[t, k] = x
-            if mk > 0.0:
-                states[k].update(mk, x)
-                p = mk * recips[k]
-                reward += p if p < 1.0 else 1.0
-        allocations[t] = m
-        regrets[t] = rho_star - reward
-        if options.record_intervals:
-            for k in range(K):
-                lower_hist[t, k] = states[k].lower_recip
-                upper_hist[t, k] = states[k].upper_recip
-
-    metadata = {
-        "instance": instance.digest(),
-        "nus": list(instance.nus),
-        "horizon": n,
-        "base_seed": instance.base_seed,
-        "seed": options.seed,
-        "mode": options.mode,
-        "delta": delta,
-        "initial_lower_bounds": lbs,
-    }
-    return RunTrace(
-        allocations=allocations,
-        observations=observations,
-        regrets=regrets,
-        cum_regrets=np.cumsum(regrets),
-        estimators=states,
-        metadata=metadata,
-        lower_recips=lower_hist,
-        upper_recips=upper_hist,
-    )
+    trace, _ = _simulate(instance, options, profile, rng, lbs)
+    trace.metadata["initial_lower_bounds"] = lbs
+    return trace
 
 
 def regret_upper_bound(

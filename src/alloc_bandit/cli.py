@@ -12,6 +12,7 @@ The ALLOC_BANDIT_THREADS environment variable caps worker parallelism
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -118,17 +119,7 @@ def _cmd_experiment(args) -> int:
     with open(args.config) as handle:
         config = ExperimentConfig.from_json(handle.read())
     if args.reps is not None:
-        config = ExperimentConfig(
-            experiment_id=config.experiment_id,
-            nus=config.nus,
-            horizon=config.horizon,
-            sweep=config.sweep,
-            grid=config.grid,
-            replications=args.reps,
-            arms=config.arms,
-            base_seed=config.base_seed,
-            output_path=config.output_path,
-        )
+        config = dataclasses.replace(config, replications=args.reps)
     result = run_experiment(config)
     out = args.out or config.output_path
     if out:

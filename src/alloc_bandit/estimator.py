@@ -24,11 +24,6 @@ WEIGHT_CAP = 1e12
 FULL_ALLOC_RTOL = 1e-12
 
 
-class WeightOverflowError(ValueError):
-    """Raised when an allocation sits too close to the current upper bound
-    for the sample weight to be representable (w would exceed 1e12)."""
-
-
 def confidence_radius_f(r_max: float, v2: float, delta: float) -> float:
     """Self-normalized deviation bound for the weighted sums.
 
@@ -197,23 +192,6 @@ class EstimatorState:
         state.weight_capped = False
         state.collapsed = False
         return state
-
-
-def weight(state: EstimatorState, m: float) -> float:
-    """Sample weight 1 / (1 - m * upper_recip) for allocation m.
-
-    Equals 1 while the upper bound is infinite. Raises WeightOverflowError
-    when m sits within 1e-12 of the upper bound (w >= 1e12); the internal
-    update path caps instead so long runs stay numerically stable.
-    """
-    if m < 0:
-        raise ValueError(f"allocation must be non-negative, got {m}")
-    mu = m * state.upper_recip
-    if mu >= 1.0 - 1e-12:
-        raise WeightOverflowError(
-            f"allocation {m} too close to the upper bound {state.nu_upper}"
-        )
-    return 1.0 / (1.0 - mu)
 
 
 def width(state: EstimatorState) -> float:

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,6 +73,10 @@ class ExperimentConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not self.arms:
             raise ValueError("need at least one arm")
+        names = [arm.name for arm in self.arms]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"arms: duplicate arm name {name!r}")
         if self.sweep != "horizon":
             idx = self._sweep_index()
             if not (1 <= idx <= len(self.nus)):
@@ -103,9 +107,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a JSON config; keys are the field names of this class and,
+        per arm, of ArmSpec. Unknown keys are rejected."""
         doc = json.loads(text)
+        _reject_unknown_keys(doc, cls, "config")
         arms_doc = doc.get("arms")
         if arms_doc:
+            for a in arms_doc:
+                _reject_unknown_keys(a, ArmSpec, "arm")
             arms = tuple(
                 ArmSpec(
                     name=a["name"],
@@ -134,6 +143,13 @@ class ExperimentConfig:
             base_seed=int(doc.get("base_seed", 0)),
             output_path=doc.get("output_path"),
         )
+
+
+def _reject_unknown_keys(doc: dict, cls, where: str) -> None:
+    known = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(known)}")
 
 
 @dataclass(frozen=True)
@@ -195,21 +211,26 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     return explicit
 
 
+def _map_cells(cell, tasks: list, workers: Optional[int]) -> list:
+    """``[cell(task) for task in tasks]``, in a process pool when there is
+    more than one worker and more than one task; results keep task order."""
+    workers = resolve_workers(workers)
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(cell, tasks, chunksize=1))
+    return [cell(task) for task in tasks]
+
+
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentResult:
     """Run the full sweep and aggregate (deterministic given base seed,
     independent of worker count and completion order)."""
-    workers = resolve_workers(workers)
     tasks = [
         (config, point, arm_index, rep)
         for point in range(len(config.grid))
         for arm_index in range(len(config.arms))
         for rep in range(config.replications)
     ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, tasks, chunksize=1))
-    else:
-        outcomes = [_run_cell(task) for task in tasks]
+    outcomes = _map_cells(_run_cell, tasks, workers)
 
     result = ExperimentResult(config=config, rows=[])
     cursor = 0
@@ -289,12 +310,7 @@ def minimax_stress(
         for idx in range(len(family))
         for rep in range(reps)
     ]
-    workers = resolve_workers(workers)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_minimax_cell, tasks, chunksize=1))
-    else:
-        outcomes = [_minimax_cell(task) for task in tasks]
+    outcomes = _map_cells(_minimax_cell, tasks, workers)
     means = []
     cursor = 0
     for _ in family:

@@ -21,13 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import PolicyOptions, RunTrace, _allocate_raw, default_delta
-from .estimator import EstimatorState
+from .allocator import MAX_HALVING_STEPS, PolicyOptions, RunTrace, _simulate
+# Not called here; kept so that bench/tracing.py can wrap this binding by name.
+from .allocator import _allocate_raw  # noqa: F401
 from .model import ProblemInstance, optimal_profile, split_rng
-
-# 2^-64 is the smallest probe allocation; beyond that the schedule is
-# meaningless at double precision.
-MAX_HALVING_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -99,102 +96,14 @@ def run_modified(instance: ProblemInstance, options: PolicyOptions = PolicyOptio
     main-policy outcomes feed only the estimators. Pseudo-regret is charged
     against the true optimum from step 1, initialisation included.
     """
-    K = instance.num_jobs
-    n = instance.horizon
-    delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
-    weighted = options.mode == "weighted"
     profile = optimal_profile(instance)
-    recips = instance.recips
-    rho_star = profile.rho_star
     rng = split_rng(instance.base_seed, options.seed)
-
-    states = [None] * K
-    init_done = [False] * K
-    init_consumption = [[] for _ in range(K)]
-    records = [None] * K
-
-    allocations = np.empty((n, K))
-    observations = np.empty((n, K), dtype=np.uint8)
-    regrets = np.empty(n)
-    lower_hist = np.empty((n, K)) if options.record_intervals else None
-    upper_hist = np.empty((n, K)) if options.record_intervals else None
-
-    block = 1024
-    draws: list = []
-    pos = 0
-    for t in range(1, n + 1):
-        probe_m = [0.0] * K
-        probe_total = 0.0
-        for k in range(K):
-            if not init_done[k] and t >= k + 1:
-                local = t - k
-                m = 2.0**-local
-                probe_m[k] = m
-                probe_total += m
-        budget = 1.0 - probe_total
-        if budget < 0.0:
-            budget = 0.0
-        main_m = _allocate_raw(
-            [states[k].lower_recip if init_done[k] else 0.0 for k in range(K)],
-            budget,
-        )
-
-        if pos >= len(draws):
-            draws = rng.random(block * K).tolist()
-            pos = 0
-        reward = 0.0
-        row = allocations[t - 1]
-        for k in range(K):
-            mk = probe_m[k] + main_m[k]
-            row[k] = mk
-            x = 1 if draws[pos] < mk * recips[k] else 0
-            pos += 1
-            observations[t - 1, k] = x
-            if mk > 0.0:
-                p = mk * recips[k]
-                reward += p if p < 1.0 else 1.0
-            if probe_m[k] > 0.0:
-                init_consumption[k].append(probe_m[k])
-                local = t - k
-                capped = x == 1 and local >= MAX_HALVING_STEPS
-                if x == 0 or capped:
-                    nu_lower0 = 2.0**-local if x == 0 else 2.0**-MAX_HALVING_STEPS
-                    records[k] = InitRecord(
-                        k, local, nu_lower0, tuple(init_consumption[k]), capped=capped
-                    )
-                    states[k] = EstimatorState(
-                        nu_lower0, delta, options.u_alpha_levels, weighted=weighted
-                    )
-                    init_done[k] = True
-            elif init_done[k] and main_m[k] > 0.0:
-                states[k].update(main_m[k], x)
-        regrets[t - 1] = rho_star - reward
-        if options.record_intervals:
-            for k in range(K):
-                if states[k] is not None:
-                    lower_hist[t - 1, k] = states[k].lower_recip
-                    upper_hist[t - 1, k] = states[k].upper_recip
-                else:
-                    lower_hist[t - 1, k] = 0.0
-                    upper_hist[t - 1, k] = 0.0
-
-    metadata = {
-        "instance": instance.digest(),
-        "nus": list(instance.nus),
-        "horizon": n,
-        "base_seed": instance.base_seed,
-        "seed": options.seed,
-        "mode": options.mode,
-        "delta": delta,
-        "init_records": [r.to_dict() for r in records if r is not None],
-    }
-    return RunTrace(
-        allocations=allocations,
-        observations=observations,
-        regrets=regrets,
-        cum_regrets=np.cumsum(regrets),
-        estimators=states,
-        metadata=metadata,
-        lower_recips=lower_hist,
-        upper_recips=upper_hist,
-    )
+    trace, probe_ends = _simulate(instance, options, profile, rng, None)
+    records = []
+    for job, end in enumerate(probe_ends):
+        if end is not None:
+            steps, capped = end
+            consumption = tuple(2.0**-i for i in range(1, steps + 1))
+            records.append(InitRecord(job, steps, 2.0**-steps, consumption, capped).to_dict())
+    trace.metadata["init_records"] = records
+    return trace

@@ -1,0 +1,139 @@
+"""Test oracles: slow, direct restatements of what the library computes
+inline, kept out of the public API.
+
+``sample_step`` and ``instantaneous_regret`` are the per-step sampling and
+pseudo-regret the episode loop fuses into one pass; ``brute_force_optimal``
+cross-checks ``optimal_profile`` by grid search; ``weight`` is the sample
+weight ``EstimatorState.update`` computes inline (it raises where the
+update caps).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from alloc_bandit.model import (
+    BUDGET_TOL,
+    Allocation,
+    OptimalProfile,
+    ProblemInstance,
+)
+
+
+def beta(x: float) -> float:
+    """Success probability for relative allocation x: min(1, x)."""
+    if x < 0:
+        raise ValueError(f"relative allocation must be non-negative, got {x}")
+    return x if x < 1.0 else 1.0
+
+
+@dataclass(frozen=True)
+class Observation:
+    """Binary success indicators for one step."""
+
+    x: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
+        for v in self.x:
+            if v not in (0, 1):
+                raise ValueError(f"observations must be 0 or 1, got {v}")
+
+
+def brute_force_optimal(instance: ProblemInstance, grid_step: float):
+    """Grid search over the budget simplex; test oracle for optimal_profile.
+
+    Enumerates grid multiples of ``grid_step`` for the first K-1 jobs; the
+    last job's reward is non-decreasing in its allocation, so the largest
+    feasible grid multiple dominates and the search stays exhaustive over
+    maximal grid points. Returns (Allocation, reward).
+    """
+    K = instance.num_jobs
+    if K > 4:
+        raise ValueError(f"grid search refuses K={K} > 4 (combinatorial blowup)")
+    if not (0 < grid_step <= 0.1):
+        raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step}")
+    recips = np.asarray(instance.recips)
+    levels = int(math.floor(1.0 / grid_step + 1e-9)) + 1
+    grid = np.arange(levels) * grid_step
+
+    if K == 1:
+        m_last = math.floor(1.0 / grid_step + 1e-9) * grid_step
+        best = np.array([m_last])
+        return Allocation(tuple(best)), float(min(1.0, m_last * recips[0]))
+
+    # Cartesian grid over the first K-1 coordinates, chunked over the first
+    # axis to bound memory for K=4.
+    best_reward = -1.0
+    best_m = None
+    head = np.stack(
+        [g.ravel() for g in np.meshgrid(*([grid] * (K - 2)), indexing="ij")], axis=-1
+    ) if K > 2 else np.zeros((1, 0))
+    for m0 in grid:
+        partial = m0 + head.sum(axis=1)
+        feasible = partial <= 1.0 + BUDGET_TOL
+        if not feasible.any():
+            continue
+        partial = partial[feasible]
+        rows = head[feasible]
+        m_last = np.floor((1.0 - partial) / grid_step + 1e-9).clip(min=0) * grid_step
+        reward = (
+            np.minimum(1.0, m0 * recips[0])
+            + (np.minimum(1.0, rows * recips[1 : K - 1]).sum(axis=1) if K > 2 else 0.0)
+            + np.minimum(1.0, m_last * recips[K - 1])
+        )
+        i = int(np.argmax(reward))
+        if reward[i] > best_reward:
+            best_reward = float(reward[i])
+            best_m = np.concatenate(([m0], rows[i], [m_last[i]]))
+    return Allocation(tuple(best_m)), best_reward
+
+
+def _sample_raw(m: Sequence[float], recips: Sequence[float], u: Sequence[float]) -> list:
+    """One Bernoulli outcome per job from pre-drawn uniforms (u_k < p_k)."""
+    return [1 if u[k] < m[k] * recips[k] else 0 for k in range(len(m))]
+
+
+def sample_step(instance: ProblemInstance, alloc, rng: np.random.Generator) -> Observation:
+    """Sample one step of outcomes; consumes exactly K uniforms in job order."""
+    m = alloc.m if isinstance(alloc, Allocation) else Allocation(tuple(alloc)).m
+    u = rng.random(instance.num_jobs)
+    return Observation(tuple(_sample_raw(m, instance.recips, u)))
+
+
+def instantaneous_regret(profile: OptimalProfile, alloc, instance: ProblemInstance) -> float:
+    """Per-step pseudo-regret: optimal expected reward minus the
+    allocation's expected reward (true success probabilities, not samples).
+    """
+    m = alloc.m if isinstance(alloc, Allocation) else Allocation(tuple(alloc)).m
+    reward = 0.0
+    for k, recip in enumerate(instance.recips):
+        p = m[k] * recip
+        reward += p if p < 1.0 else 1.0
+    return profile.rho_star - reward
+
+
+class WeightOverflowError(ValueError):
+    """Raised when an allocation sits too close to the current upper bound
+    for the sample weight to be representable (w would exceed 1e12)."""
+
+
+def weight(state, m: float) -> float:
+    """Sample weight 1 / (1 - m * upper_recip) for allocation m.
+
+    Equals 1 while the upper bound is infinite. Raises WeightOverflowError
+    when m sits within 1e-12 of the upper bound (w >= 1e12), where
+    ``EstimatorState.update`` caps instead.
+    """
+    if m < 0:
+        raise ValueError(f"allocation must be non-negative, got {m}")
+    mu = m * state.upper_recip
+    if mu >= 1.0 - 1e-12:
+        raise WeightOverflowError(
+            f"allocation {m} too close to the upper bound {state.nu_upper}"
+        )
+    return 1.0 / (1.0 - mu)

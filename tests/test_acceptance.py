@@ -26,12 +26,8 @@ from alloc_bandit.harness import (
     run_experiment,
 )
 from alloc_bandit.initialization import halving_init, sample_eta
-from alloc_bandit.model import (
-    ProblemInstance,
-    brute_force_optimal,
-    optimal_profile,
-    split_rng,
-)
+from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
+from reference import brute_force_optimal
 
 RTOL = 1e-9
 

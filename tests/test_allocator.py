@@ -15,14 +15,10 @@ from alloc_bandit.allocator import (
     run_episode,
     regret_upper_bound,
 )
-from alloc_bandit.model import (
-    ProblemInstance,
-    instantaneous_regret,
-    optimal_profile,
-    sample_step,
-    split_rng,
-)
+from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from alloc_bandit.estimator import EstimatorState
+from alloc_bandit.initialization import run_modified
+from reference import instantaneous_regret, sample_step
 
 
 def recips_of(nu_lowers):
@@ -147,6 +143,19 @@ class TestRunEpisode:
             PolicyOptions(mode="other")
         with pytest.raises(ValueError):
             PolicyOptions(delta_override=1.5)
+
+    @pytest.mark.parametrize("mode", ["weighted", "unweighted"])
+    def test_one_job_one_step_runs(self, mode):
+        # n K = 1 would give delta = 1, outside (0, 1); the level is floored
+        assert 0.0 < default_delta(1, 1) < 1.0
+        assert default_delta(1, 2) == 0.25
+        options = PolicyOptions(mode=mode)
+        for seed in range(20):
+            for nu, lb in ((0.5, 0.25), (5.0, 1.0)):
+                inst = ProblemInstance((nu,), 1, seed)
+                for trace in (run_episode(inst, [lb], options), run_modified(inst, options)):
+                    assert trace.metadata["delta"] == 0.25
+                    assert len(trace.regrets) == 1
 
     def test_sublinear_regret_monte_carlo(self):
         inst_template = (0.4, 0.6)

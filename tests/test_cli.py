@@ -119,6 +119,19 @@ class TestExperimentCommand:
         assert result.returncode == 0, result.stderr
         assert out.read_text().splitlines()[1].endswith(",2")
 
+    def test_unknown_config_key_is_an_error(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "experiment_id": "mini",
+            "nus": [0.4, 0.6],
+            "sweep": "horizon",
+            "grid": [50],
+            "replication": 2,
+        }))
+        result = invoke("experiment", "--config", str(config))
+        assert result.returncode == 1
+        assert "'replication'" in result.stderr
+
     def test_missing_config_file(self, tmp_path):
         result = invoke("experiment", "--config", str(tmp_path / "nope.json"))
         assert result.returncode != 0

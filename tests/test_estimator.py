@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alloc_bandit.estimator import (
-    EstimatorState,
-    WeightOverflowError,
-    confidence_radius_f,
-    weight,
-    width,
-)
+from alloc_bandit.estimator import EstimatorState, confidence_radius_f, width
 from alloc_bandit.model import split_rng
+from reference import WeightOverflowError, weight
 
 
 def radius_oracle(r_max, v2, delta, dps=50):

@@ -76,6 +76,31 @@ class TestConfig:
             }))
 
 
+    def test_unknown_keys_rejected_by_name(self):
+        doc = {
+            "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon",
+            "grid": [100], "replication": 2,
+        }
+        with pytest.raises(ValueError, match="'replication'"):
+            ExperimentConfig.from_json(json.dumps(doc))
+        doc = {
+            "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100],
+            "arms": [{"name": "a", "lower_bound": [0.2, 0.3]}],
+        }
+        with pytest.raises(ValueError, match="'lower_bound'"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_duplicate_arm_names_rejected(self):
+        with pytest.raises(ValueError, match="'a'"):
+            small_config(arms=(ArmSpec(name="a"), ArmSpec(name="a", mode="unweighted")))
+        doc = {
+            "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100],
+            "arms": [{"name": "a"}, {"name": "b"}, {"name": "a"}],
+        }
+        with pytest.raises(ValueError, match="duplicate arm name 'a'"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+
 class TestRunExperiment:
     def test_degenerate_single_cell_equals_episode(self):
         config = small_config(

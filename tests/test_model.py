@@ -4,16 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alloc_bandit.model import (
-    Allocation,
-    ProblemInstance,
-    beta,
-    brute_force_optimal,
-    instantaneous_regret,
-    optimal_profile,
-    sample_step,
-    split_rng,
-)
+from alloc_bandit.model import Allocation, ProblemInstance, optimal_profile, split_rng
+from reference import beta, brute_force_optimal, instantaneous_regret, sample_step
 
 nus_lists = st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4)
 
