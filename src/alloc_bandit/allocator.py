@@ -35,6 +35,9 @@ MODES = ("weighted", "unweighted")
 # order (step-major, job-minor) is identical to per-step sampling.
 _DRAW_BLOCK = 1024
 
+# Trace CSV rows are formatted this many at a time.
+_CSV_BLOCK = 4096
+
 # 2^-64 is the smallest probe allocation; beyond that the schedule is
 # meaningless at double precision.
 MAX_HALVING_STEPS = 64
@@ -89,27 +92,41 @@ class RunTrace:
         Written atomically (temp file + rename); floats use shortest
         round-trip decimals so re-emission is byte-identical.
         """
+        atomic_write_text(path, self._csv_text())
+
+    def _csv_text(self) -> str:
+        """The CSV as one string, built ``_CSV_BLOCK`` rows at a time.
+
+        Per block the float columns are stacked and ``repr`` runs once per
+        distinct bit pattern (so -0.0, nan and inf print as ``repr`` prints
+        them); the cell strings are then gathered back into place.
+        """
         n, K = self.allocations.shape
         cols = ["t"]
         cols += [f"M_{k + 1}" for k in range(K)]
         cols += [f"X_{k + 1}" for k in range(K)]
         cols += ["r_t", "cumregret"]
-        with_intervals = self.lower_recips is not None
-        if with_intervals:
+        float_cols = [self.allocations, self.regrets[:, None], self.cum_regrets[:, None]]
+        if self.lower_recips is not None:
             cols += [f"L_{k + 1}" for k in range(K)]
             cols += [f"U_{k + 1}" for k in range(K)]
-        lines = [",".join(cols)]
-        for t in range(n):
-            row = [str(t + 1)]
-            row += [repr(float(v)) for v in self.allocations[t]]
-            row += [str(int(v)) for v in self.observations[t]]
-            row.append(repr(float(self.regrets[t])))
-            row.append(repr(float(self.cum_regrets[t])))
-            if with_intervals:
-                row += [repr(float(v)) for v in self.lower_recips[t]]
-                row += [repr(float(v)) for v in self.upper_recips[t]]
-            lines.append(",".join(row))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+            float_cols += [self.lower_recips, self.upper_recips]
+        bits_table = np.array(["0", "1"], dtype=object)
+        blocks = [",".join(cols) + "\n"]
+        for start in range(0, n, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, n)
+            floats = np.concatenate([c[start:stop] for c in float_cols], axis=1, dtype=np.float64)
+            patterns, inverse = np.unique(floats.view(np.uint64), return_inverse=True)
+            texts = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+            cells = np.empty((stop - start, len(cols)), dtype=object)
+            cells[:, 0] = list(map(str, range(start + 1, stop + 1)))
+            # Column order: t, M (K), X (K), then r_t, cumregret, L, U.
+            gathered = texts[inverse.reshape(floats.shape)]
+            cells[:, 1 : 1 + K] = gathered[:, :K]
+            cells[:, 1 + K : 1 + 2 * K] = bits_table[self.observations[start:stop]]
+            cells[:, 1 + 2 * K :] = gathered[:, K:]
+            blocks.append("\n".join(map(",".join, cells.tolist())) + "\n")
+        return "".join(blocks)
 
 
 def atomic_write_text(path: str, text: str) -> None:

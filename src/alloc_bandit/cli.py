@@ -153,10 +153,11 @@ def _cmd_init_stats(args) -> int:
     rows = []
     for rep in range(args.reps):
         record = halving_init(nu, rng)
-        etas[rep] = sample_eta(nu, record.nu_lower0)
+        eta = sample_eta(nu, record.nu_lower0)
+        etas[rep] = eta
         steps[rep] = record.steps_used
         if args.out:
-            rows.append(f"{rep},{record.steps_used},{record.nu_lower0!r},{etas[rep]!r}")
+            rows.append(f"{rep},{record.steps_used},{record.nu_lower0!r},{eta!r}")
     mean_eta = float(etas.mean())
     se_eta = float(etas.std(ddof=1) / math.sqrt(args.reps)) if args.reps > 1 else 0.0
     if args.out:

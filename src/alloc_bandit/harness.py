@@ -77,7 +77,19 @@ class ExperimentConfig:
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"arms: duplicate arm name {name!r}")
-        if self.sweep != "horizon":
+        for arm in self.arms:
+            if arm.lower_bounds is not None and len(arm.lower_bounds) != len(self.nus):
+                raise ValueError(
+                    f"arm {arm.name!r}: expected {len(self.nus)} lower bounds, "
+                    f"got {len(arm.lower_bounds)}"
+                )
+        if self.sweep == "horizon":
+            for value in self.grid:
+                if not (value.is_integer() and value >= 1):
+                    raise ValueError(
+                        f"horizon grid entries must be integers >= 1, got {value!r}"
+                    )
+        else:
             idx = self._sweep_index()
             if not (1 <= idx <= len(self.nus)):
                 raise ValueError(f"sweep index {idx} out of range for {len(self.nus)} jobs")
@@ -97,10 +109,7 @@ class ExperimentConfig:
         split per replication at run time)."""
         value = self.grid[point]
         if self.sweep == "horizon":
-            horizon = int(round(value))
-            if horizon < 1:
-                raise ValueError(f"horizon grid entries must be >= 1, got {value}")
-            return ProblemInstance(self.nus, horizon, self.base_seed)
+            return ProblemInstance(self.nus, int(value), self.base_seed)
         nus = list(self.nus)
         nus[self._sweep_index() - 1] = value
         return ProblemInstance(tuple(nus), self.horizon, self.base_seed)

@@ -5,7 +5,8 @@ inline, kept out of the public API.
 pseudo-regret the episode loop fuses into one pass; ``brute_force_optimal``
 cross-checks ``optimal_profile`` by grid search; ``weight`` is the sample
 weight ``EstimatorState.update`` computes inline (it raises where the
-update caps).
+update caps); ``trace_csv_text`` is the row-by-row form of the text
+``RunTrace.to_csv`` writes block-wise.
 """
 
 from __future__ import annotations
@@ -137,3 +138,29 @@ def weight(state, m: float) -> float:
             f"allocation {m} too close to the upper bound {state.nu_upper}"
         )
     return 1.0 / (1.0 - mu)
+
+
+def trace_csv_text(trace) -> str:
+    """Trace CSV text formatted one row and one cell at a time:
+    t, M_k, X_k, r_t, cumregret[, L_k, U_k], floats as ``repr``."""
+    n, K = trace.allocations.shape
+    cols = ["t"]
+    cols += [f"M_{k + 1}" for k in range(K)]
+    cols += [f"X_{k + 1}" for k in range(K)]
+    cols += ["r_t", "cumregret"]
+    with_intervals = trace.lower_recips is not None
+    if with_intervals:
+        cols += [f"L_{k + 1}" for k in range(K)]
+        cols += [f"U_{k + 1}" for k in range(K)]
+    lines = [",".join(cols)]
+    for t in range(n):
+        row = [str(t + 1)]
+        row += [repr(float(v)) for v in trace.allocations[t]]
+        row += [str(int(v)) for v in trace.observations[t]]
+        row.append(repr(float(trace.regrets[t])))
+        row.append(repr(float(trace.cum_regrets[t])))
+        if with_intervals:
+            row += [repr(float(v)) for v in trace.lower_recips[t]]
+            row += [repr(float(v)) for v in trace.upper_recips[t]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -29,6 +29,9 @@ from alloc_bandit.initialization import halving_init, sample_eta
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from reference import brute_force_optimal
 
+# Most of the suite's wall time; `pytest -m "not slow"` leaves this module out.
+pytestmark = pytest.mark.slow
+
 RTOL = 1e-9
 
 

@@ -161,6 +161,10 @@ class TestInitStatsCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "rep,steps,nu_lower0,eta"
         assert len(lines) == 501
+        for line in lines[1:]:
+            _, _, nu_lower0, eta = line.split(",")
+            # float() rejects numpy scalar reprs such as "np.float64(3.2)"
+            assert float(eta) == min(1.0, 0.3) / float(nu_lower0), line
 
     def test_unbounded_difficulty(self):
         result = invoke("init-stats", "--nu", "inf", "--reps", "200", "--seed", "0")

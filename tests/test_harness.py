@@ -100,6 +100,36 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate arm name 'a'"):
             ExperimentConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("entry", [30.6, 0, -5, float("inf"), float("nan")])
+    def test_horizon_grid_entries_must_be_positive_integers(self, entry):
+        with pytest.raises(ValueError, match=f"got {float(entry)!r}"):
+            small_config(sweep="horizon", grid=(20, entry))
+        if math.isfinite(entry):
+            doc = {
+                "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon",
+                "grid": [20, entry],
+            }
+            with pytest.raises(ValueError, match=f"got {float(entry)!r}"):
+                ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_integral_horizon_grid_accepted(self):
+        config = small_config(sweep="horizon", grid=(20, 30.0))
+        assert [config.instance_at(i).horizon for i in range(2)] == [20, 30]
+        # a difficulty sweep's grid holds difficulties, not horizons
+        assert small_config(grid=(0.6, 0.95)).grid == (0.6, 0.95)
+
+    @pytest.mark.parametrize("bounds", [(0.2,), (0.2, 0.3, 0.1)])
+    def test_lower_bounds_length_must_match_jobs(self, bounds):
+        arms = (ArmSpec(name="weighted"), ArmSpec(name="known", lower_bounds=bounds))
+        with pytest.raises(ValueError, match=f"arm 'known': expected 2 lower bounds, got {len(bounds)}"):
+            small_config(arms=arms)
+        doc = {
+            "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100],
+            "arms": [{"name": "weighted"}, {"name": "known", "lower_bounds": list(bounds)}],
+        }
+        with pytest.raises(ValueError, match="arm 'known'"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
 
 class TestRunExperiment:
     def test_degenerate_single_cell_equals_episode(self):
