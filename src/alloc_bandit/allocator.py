@@ -7,6 +7,12 @@ current optimistic lower bounds, each receiving
 realized (allocation, outcome) pairs. The unweighted baseline runs the
 identical code path with every sample weight pinned to 1, so comparisons
 isolate the estimator.
+
+The episode loop keeps that fill order as a sorted list of
+``(nu_lower, k)`` across steps. Only the first few jobs in it receive
+resources, so a step fills, samples and updates just those jobs (plus any
+running halving probes) and re-sorts only the jobs whose lower bound moved;
+everyone else's allocation and outcome stay 0 in the trace.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 import os
 import tempfile
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -144,31 +151,36 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _allocate_raw(lower_recips: Sequence[float], budget: float = 1.0) -> list:
-    """Greedy fill in increasing order of optimistic lower bound.
+def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
+    """Greedy fill over a fill order: a sorted sequence of
+    ``(nu_lower, k)``, easiest job first, ties toward the lowest index.
 
-    A job with lower_recip 0 is excluded (no bound yet): it receives 0 and
-    consumes no budget. Ties break toward the lowest job index.
+    Each job in turn receives ``min(nu_lower, remaining budget)`` until the
+    budget is spent. Returns ``[(k, take), ...]`` for the jobs reached, in
+    fill order; jobs not reached receive nothing.
     """
-    m = [0.0] * len(lower_recips)
-    order = sorted(
-        (1.0 / L, k) for k, L in enumerate(lower_recips) if L > 0.0
-    )
+    fill = []
     remaining = budget
     for nu_low, k in order:
         if remaining <= 0.0:
             break
         take = nu_low if nu_low < remaining else remaining
-        m[k] = take
+        fill.append((k, take))
         remaining -= take
         if remaining < 0.0:
             remaining = 0.0
-    return m
+    return fill
 
 
 def allocate(lower_recips: Sequence[float], budget: float = 1.0) -> Allocation:
-    """Optimistic allocation for the given reciprocal lower bounds."""
-    return Allocation(tuple(_allocate_raw(lower_recips, budget)))
+    """Optimistic allocation for the given reciprocal lower bounds. A job
+    with lower_recip 0 has no bound yet: it receives 0 and consumes no
+    budget."""
+    m = [0.0] * len(lower_recips)
+    order = sorted((1.0 / L, k) for k, L in enumerate(lower_recips) if L > 0.0)
+    for k, take in _allocate_raw(order, budget):
+        m[k] = take
+    return Allocation(tuple(m))
 
 
 def default_delta(horizon: int, num_jobs: int) -> float:
@@ -190,10 +202,15 @@ def _simulate(
     job k's halving probe starts at step k+1 and allocates 2^-(local step)
     until its first failure or the 64-step guard; the job's estimator is
     then built from the last probe allocation. Per step the active probes
-    take their share first, the main policy allocates the rest among jobs
-    that have an estimator, one outcome is sampled per job from its total
-    allocation, and only main-policy outcomes update estimators.
-    Pseudo-regret is charged from step 1.
+    take their share first, the main policy fills the rest over the fill
+    order of jobs that have an estimator, one outcome is sampled per job
+    that received resources, and only main-policy outcomes update
+    estimators. Pseudo-regret is charged from step 1.
+
+    Per-step work scales with the jobs that receive resources, not with K.
+    Each step still advances the draw stream by K, and job k reads the k-th
+    draw of its step, so the stream is the one per-step sampling of every
+    job would consume; a job given nothing would draw X = 0 regardless.
 
     Returns the trace and, per job, ``(steps_used, capped)`` of its finished
     probe (None for a job whose probe never finished or never ran).
@@ -205,22 +222,36 @@ def _simulate(
     recips = instance.recips
     rho_star = profile.rho_star
     probing = lower_bounds is None
+    record = options.record_intervals
 
     def build(nu_lower0: float) -> EstimatorState:
         return EstimatorState(nu_lower0, delta, options.u_alpha_levels, weighted=weighted)
 
     states = [None] * K if probing else [build(v) for v in lower_bounds]
+    # The fill order: (1 / lower_recip, k) of every job with an estimator,
+    # sorted. Only an update that moves a job's lower bound re-keys it.
+    order = sorted((1.0 / s.lower_recip, k) for k, s in enumerate(states) if s is not None)
     probe_ends = [None] * K
     probes: list = []  # jobs whose probe is running, in job order
 
-    # Flat step-major buffers; appending is cheaper than per-step numpy writes.
-    allocations = array("d")
-    observations = array("B")
-    regrets = array("d")
-    lower_hist = array("d") if options.record_intervals else None
-    upper_hist = array("d") if options.record_intervals else None
+    # Flat step-major n x K buffers, allocated once and zero until written:
+    # a job that gets no resources at a step keeps M = 0 and X = 0 there.
+    allocations = array("d", [0.0]) * (n * K)
+    observations = array("B", [0]) * (n * K)
+    regrets = array("d", [0.0]) * n
+    if record:
+        # Current interval row (0.0 for a job without an estimator), copied
+        # into the history every step and changed only where a job changed.
+        lower_row = array("d", [0.0 if s is None else s.lower_recip for s in states])
+        upper_row = array("d", [0.0]) * K
+        lower_hist = array("d", [0.0]) * (n * K)
+        upper_hist = array("d", [0.0]) * (n * K)
+    else:
+        lower_hist = upper_hist = None
 
-    draws: list = []
+    # A step reads only the draws of the jobs it touches, so the block stays
+    # a float64 buffer instead of becoming one Python float per draw.
+    draws = memoryview(b"")
     pos = 0
     for t in range(n):
         if probing and t < K:
@@ -228,41 +259,52 @@ def _simulate(
         probe_total = 0.0
         for k in probes:
             probe_total += 2.0 ** (k - t - 1)
-        m = _allocate_raw(
-            [0.0 if s is None else s.lower_recip for s in states], 1.0 - probe_total
-        )
+        touched = _allocate_raw(order, 1.0 - probe_total)
         for k in probes:
-            m[k] = 2.0 ** (k - t - 1)
+            touched.append((k, 2.0 ** (k - t - 1)))
+        # Visit in job order, as sampling every job would: that fixes the
+        # order in which rewards are summed.
+        touched.sort()
 
         if pos >= len(draws):
-            draws = rng.random(_DRAW_BLOCK * K).tolist()
+            draws = memoryview(rng.random(_DRAW_BLOCK * K))
             pos = 0
-        xs = []
+        base = t * K
         reward = 0.0
-        for k in range(K):
-            mk = m[k]
-            x = 1 if draws[pos] < mk * recips[k] else 0
-            pos += 1
-            xs.append(x)
-            if mk > 0.0:
-                p = mk * recips[k]
-                reward += p if p < 1.0 else 1.0
+        for k, mk in touched:
+            p = mk * recips[k]
+            x = 1 if draws[pos + k] < p else 0
+            allocations[base + k] = mk
+            observations[base + k] = x
+            if not mk > 0.0:
+                continue
+            reward += p if p < 1.0 else 1.0
+            s = states[k]
+            if s is None:
                 # A probing job has no estimator yet; its outcome feeds the probe.
-                if states[k] is not None:
-                    states[k].update(mk, x)
-        if probes:
-            for k in probes:
                 local = t + 1 - k
-                if xs[k] == 0 or local == MAX_HALVING_STEPS:
-                    states[k] = build(2.0**-local)
-                    probe_ends[k] = (local, xs[k] == 1)
+                if x == 1 and local < MAX_HALVING_STEPS:
+                    continue
+                s = states[k] = build(2.0**-local)
+                probe_ends[k] = (local, x == 1)
+                insort(order, (1.0 / s.lower_recip, k))
+            else:
+                lower_prev = s.lower_recip
+                s.update(mk, x)
+                if s.lower_recip != lower_prev:
+                    del order[bisect_left(order, (1.0 / lower_prev, k))]
+                    insort(order, (1.0 / s.lower_recip, k))
+            if record:
+                lower_row[k] = s.lower_recip
+                upper_row[k] = s.upper_recip
+        # Every step consumes K draws, one per job in job order.
+        pos += K
+        if probes:
             probes = [k for k in probes if states[k] is None]
-        allocations.extend(m)
-        observations.extend(xs)
-        regrets.append(rho_star - reward)
-        if options.record_intervals:
-            lower_hist.extend([0.0 if s is None else s.lower_recip for s in states])
-            upper_hist.extend([0.0 if s is None else s.upper_recip for s in states])
+        regrets[t] = rho_star - reward
+        if record:
+            lower_hist[base : base + K] = lower_row
+            upper_hist[base : base + K] = upper_row
 
     def rows(buf, dtype=np.float64):
         return None if buf is None else np.frombuffer(buf, dtype).reshape(n, K)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import PolicyOptions, atomic_write_text, run_episode
+from .allocator import MODES, PolicyOptions, atomic_write_text, run_episode
 from .initialization import run_modified
 from .model import ProblemInstance
 
@@ -42,6 +42,12 @@ class ArmSpec:
     def __post_init__(self):
         if self.lower_bounds is not None:
             object.__setattr__(self, "lower_bounds", tuple(float(v) for v in self.lower_bounds))
+        if self.mode not in MODES:
+            raise ValueError(f"arm {self.name!r}: mode must be one of {MODES}, got {self.mode!r}")
+        if self.delta_override is not None and not (0.0 < self.delta_override < 1.0):
+            raise ValueError(
+                f"arm {self.name!r}: delta_override must lie in (0, 1), got {self.delta_override!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,9 @@ class ExperimentConfig:
         object.__setattr__(self, "arms", tuple(self.arms))
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
+        for i, nu in enumerate(self.nus):
+            if nu is not None and not (nu > 0 and math.isfinite(nu)):
+                raise ValueError(f"nus[{i}] must be positive and finite (or null), got {nu!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not self.arms:
@@ -93,6 +102,11 @@ class ExperimentConfig:
             idx = self._sweep_index()
             if not (1 <= idx <= len(self.nus)):
                 raise ValueError(f"sweep index {idx} out of range for {len(self.nus)} jobs")
+            for value in self.grid:
+                if not (value > 0 and math.isfinite(value)):
+                    raise ValueError(
+                        f"difficulty grid entries must be positive and finite, got {value!r}"
+                    )
             if self.horizon < 1:
                 raise ValueError(f"horizon must be >= 1 for a difficulty sweep, got {self.horizon}")
 

@@ -6,7 +6,9 @@ pseudo-regret the episode loop fuses into one pass; ``brute_force_optimal``
 cross-checks ``optimal_profile`` by grid search; ``weight`` is the sample
 weight ``EstimatorState.update`` computes inline (it raises where the
 update caps); ``trace_csv_text`` is the row-by-row form of the text
-``RunTrace.to_csv`` writes block-wise.
+``RunTrace.to_csv`` writes block-wise; ``simulate_dense`` is the episode
+step loop that samples and records all K jobs every step, against which the
+sparse ``allocator._simulate`` is checked byte for byte.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from alloc_bandit.allocator import MAX_HALVING_STEPS, _DRAW_BLOCK, RunTrace, default_delta
+from alloc_bandit.estimator import EstimatorState
 from alloc_bandit.model import (
     BUDGET_TOL,
     Allocation,
@@ -164,3 +168,107 @@ def trace_csv_text(trace) -> str:
             row += [repr(float(v)) for v in trace.upper_recips[t]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def dense_fill(lower_recips: Sequence[float], budget: float = 1.0) -> list:
+    """Greedy fill over all K jobs at once: sort every job that has a bound
+    (lower_recip > 0) by (1 / lower_recip, k) and give each in turn
+    ``min(nu_lower, remaining budget)``. Returns the K-long allocation."""
+    m = [0.0] * len(lower_recips)
+    order = sorted((1.0 / L, k) for k, L in enumerate(lower_recips) if L > 0.0)
+    remaining = budget
+    for nu_low, k in order:
+        if remaining <= 0.0:
+            break
+        take = nu_low if nu_low < remaining else remaining
+        m[k] = take
+        remaining -= take
+        if remaining < 0.0:
+            remaining = 0.0
+    return m
+
+
+def simulate_dense(instance, options, profile, rng, lower_bounds):
+    """The episode step loop with O(K) work per step: every step refills all
+    K jobs from scratch, samples every job and records full rows. Oracle for
+    ``allocator._simulate``, which takes the same arguments and must return
+    the same trace and probe ends."""
+    K = instance.num_jobs
+    n = instance.horizon
+    delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
+    weighted = options.mode == "weighted"
+    recips = instance.recips
+    rho_star = profile.rho_star
+    probing = lower_bounds is None
+
+    def build(nu_lower0: float) -> EstimatorState:
+        return EstimatorState(nu_lower0, delta, options.u_alpha_levels, weighted=weighted)
+
+    states = [None] * K if probing else [build(v) for v in lower_bounds]
+    probe_ends = [None] * K
+    probes: list = []
+
+    allocations, observations, regrets = [], [], []
+    lower_hist, upper_hist = [], []
+    draws: list = []
+    pos = 0
+    for t in range(n):
+        if probing and t < K:
+            probes.append(t)
+        probe_total = 0.0
+        for k in probes:
+            probe_total += 2.0 ** (k - t - 1)
+        m = dense_fill([0.0 if s is None else s.lower_recip for s in states], 1.0 - probe_total)
+        for k in probes:
+            m[k] = 2.0 ** (k - t - 1)
+
+        if pos >= len(draws):
+            draws = rng.random(_DRAW_BLOCK * K).tolist()
+            pos = 0
+        xs = []
+        reward = 0.0
+        for k in range(K):
+            mk = m[k]
+            x = 1 if draws[pos] < mk * recips[k] else 0
+            pos += 1
+            xs.append(x)
+            if mk > 0.0:
+                p = mk * recips[k]
+                reward += p if p < 1.0 else 1.0
+                if states[k] is not None:
+                    states[k].update(mk, x)
+        for k in probes:
+            local = t + 1 - k
+            if xs[k] == 0 or local == MAX_HALVING_STEPS:
+                states[k] = build(2.0**-local)
+                probe_ends[k] = (local, xs[k] == 1)
+        probes = [k for k in probes if states[k] is None]
+        allocations.append(m)
+        observations.append(xs)
+        regrets.append(rho_star - reward)
+        lower_hist.append([0.0 if s is None else s.lower_recip for s in states])
+        upper_hist.append([0.0 if s is None else s.upper_recip for s in states])
+
+    def rows(values, dtype=np.float64):
+        return np.array(values, dtype=dtype).reshape(n, K)
+
+    metadata = {
+        "instance": instance.digest(),
+        "nus": list(instance.nus),
+        "horizon": n,
+        "base_seed": instance.base_seed,
+        "seed": options.seed,
+        "mode": options.mode,
+        "delta": delta,
+    }
+    regrets = np.array(regrets, dtype=np.float64)
+    return RunTrace(
+        allocations=rows(allocations),
+        observations=rows(observations, np.uint8),
+        regrets=regrets,
+        cum_regrets=np.cumsum(regrets),
+        estimators=states,
+        metadata=metadata,
+        lower_recips=rows(lower_hist) if options.record_intervals else None,
+        upper_recips=rows(upper_hist) if options.record_intervals else None,
+    ), probe_ends

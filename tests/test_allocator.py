@@ -52,17 +52,57 @@ class TestAllocate:
         st.lists(st.floats(3.001, 10.0), min_size=1, max_size=3),
     )
     def test_prefix_stable_under_appended_harder_jobs(self, base, extra):
-        first = _allocate_raw(recips_of(base))
-        second = _allocate_raw(recips_of(base + extra))
+        first = allocate(recips_of(base)).m
+        second = allocate(recips_of(base + extra)).m
         for k in range(len(base)):
             assert second[k] == first[k]
 
     @given(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6))
     def test_never_exceeds_bound_or_budget(self, nu_lowers):
-        m = _allocate_raw(recips_of(nu_lowers))
+        m = allocate(recips_of(nu_lowers)).m
         assert sum(m) <= 1.0 + 1e-9
         for mk, bound in zip(m, nu_lowers):
             assert mk <= bound + 1e-15
+
+
+class TestFillOrder:
+    """``_allocate_raw`` over a sorted fill order of (nu_lower, k)."""
+
+    def test_no_budget_fills_nothing(self):
+        order = [(0.2, 1), (0.5, 0)]
+        assert _allocate_raw(order, 0.0) == []
+        assert _allocate_raw(order, -0.25) == []
+
+    def test_spent_budget_reaches_no_further_job(self):
+        # the second job takes exactly what is left; the remaining budget
+        # is then 0 and the third job gets no (k, 0.0) entry
+        assert _allocate_raw([(0.5, 2), (0.5, 0), (0.5, 1)], 1.0) == [(2, 0.5), (0, 0.5)]
+        fill = _allocate_raw([(0.3, 2), (0.5, 0), (0.9, 1), (1.5, 3)], 1.0)
+        assert [k for k, _ in fill] == [2, 0, 1]
+        assert fill[2][1] == pytest.approx(0.2)
+        assert sum(take for _, take in fill) <= 1.0
+
+    def test_ties_break_toward_lower_index(self):
+        order = sorted([(0.7, 3), (0.7, 1)])
+        fill = _allocate_raw(order, 1.0)
+        assert fill[0] == (1, 0.7)
+        assert fill[1][0] == 3 and fill[1][1] == pytest.approx(0.3)
+
+    def test_order_running_out_leaves_budget_unused(self):
+        assert _allocate_raw([(0.2, 0), (0.3, 1)], 1.0) == [(0, 0.2), (1, 0.3)]
+        assert _allocate_raw([], 1.0) == []
+
+    @given(
+        st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
+        st.floats(1e-3, 2.0),
+    )
+    def test_takes_are_a_prefix_within_bounds(self, nu_lowers, budget):
+        order = sorted((v, k) for k, v in enumerate(nu_lowers))
+        fill = _allocate_raw(order, budget)
+        assert [k for k, _ in fill] == [k for _, k in order[: len(fill)]]
+        for (k, take), (nu_low, _) in zip(fill, order):
+            assert 0.0 < take <= nu_low
+        assert sum(take for _, take in fill) <= budget * (1 + 1e-12)
 
 
 class TestRunEpisode:
@@ -95,7 +135,7 @@ class TestRunEpisode:
         states = [EstimatorState(lb, delta) for lb in (0.2, 0.3)]
         profile = optimal_profile(inst)
         for t in range(inst.horizon):
-            m = _allocate_raw([s.lower_recip for s in states])
+            m = allocate([s.lower_recip for s in states]).m
             obs = sample_step(inst, m, rng)
             assert np.array_equal(trace.allocations[t], m)
             assert tuple(trace.observations[t]) == obs.x

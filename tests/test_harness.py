@@ -130,6 +130,53 @@ class TestConfig:
         with pytest.raises(ValueError, match="arm 'known'"):
             ExperimentConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("mode", ["weigthed", "", "Weighted"])
+    def test_arm_mode_must_be_a_mode(self, mode):
+        with pytest.raises(ValueError, match=f"arm 'a': mode must be one of .*got {mode!r}"):
+            ArmSpec("a", mode=mode)
+        doc = {
+            "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100],
+            "arms": [{"name": "a", "mode": mode}],
+        }
+        with pytest.raises(ValueError, match="arm 'a': mode"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_arm_delta_override_must_lie_in_unit_interval(self, delta):
+        with pytest.raises(ValueError, match="arm 'a': delta_override must lie in"):
+            ArmSpec("a", delta_override=delta)
+        if math.isfinite(delta):
+            doc = {
+                "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100],
+                "arms": [{"name": "a", "delta_override": delta}],
+            }
+            with pytest.raises(ValueError, match="arm 'a': delta_override"):
+                ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_valid_arm_options_accepted(self):
+        arm = ArmSpec("a", mode="unweighted", delta_override=0.05)
+        assert small_config(arms=(arm,)).arms == (arm,)
+
+    @pytest.mark.parametrize("nu", [-0.4, 0.0, float("inf"), float("nan")])
+    def test_nus_must_be_positive_and_finite(self, nu):
+        with pytest.raises(ValueError, match=rf"nus\[0\] must be positive and finite .*got {nu!r}"):
+            small_config(nus=(nu, 0.6))
+        if math.isfinite(nu):
+            doc = {
+                "experiment_id": "x", "nus": [0.5, nu], "sweep": "horizon", "grid": [100],
+            }
+            with pytest.raises(ValueError, match=r"nus\[1\]"):
+                ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_unbounded_nu_accepted(self):
+        config = small_config(nus=(None, 0.6))
+        assert config.instance_at(0).nus == (None, 0.6)
+
+    @pytest.mark.parametrize("value", [-0.5, 0.0, float("inf")])
+    def test_difficulty_grid_entries_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match=f"difficulty grid entries .*got {value!r}"):
+            small_config(grid=(0.6, value))
+
 
 class TestRunExperiment:
     def test_degenerate_single_cell_equals_episode(self):
