@@ -11,11 +11,7 @@ from .allocator import (
     run_episode,
     regret_upper_bound,
 )
-from .estimator import (
-    EstimatorState,
-    confidence_radius_f,
-    width,
-)
+from .estimator import EstimatorState, confidence_radius_f
 from .harness import (
     ArmSpec,
     ExperimentConfig,
@@ -30,7 +26,6 @@ from .harness import (
 from .initialization import (
     InitRecord,
     halving_init,
-    init_budget,
     run_modified,
     sample_eta,
 )
@@ -62,7 +57,6 @@ __all__ = [
     "default_delta",
     "emit_csv",
     "halving_init",
-    "init_budget",
     "minimax_family",
     "minimax_stress",
     "optimal_profile",
@@ -72,5 +66,4 @@ __all__ = [
     "sample_eta",
     "split_rng",
     "regret_upper_bound",
-    "width",
 ]

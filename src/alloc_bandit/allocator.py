@@ -59,7 +59,6 @@ class PolicyOptions:
     delta_override: Optional[float] = None
     record_intervals: bool = False
     seed: int = 0
-    u_alpha_levels: tuple = ()
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -225,7 +224,7 @@ def _simulate(
     record = options.record_intervals
 
     def build(nu_lower0: float) -> EstimatorState:
-        return EstimatorState(nu_lower0, delta, options.u_alpha_levels, weighted=weighted)
+        return EstimatorState(nu_lower0, delta, weighted=weighted)
 
     states = [None] * K if probing else [build(v) for v in lower_bounds]
     # The fill order: (1 / lower_recip, k) of every job with an estimator,

@@ -57,19 +57,12 @@ class EstimatorState:
         "t",
         "delta",
         "full_alloc_steps",
-        "u_alpha",
         "weighted",
         "weight_capped",
         "collapsed",
     )
 
-    def __init__(
-        self,
-        nu_lower0: float,
-        delta: float,
-        u_alpha_levels=(),
-        weighted: bool = True,
-    ):
+    def __init__(self, nu_lower0: float, delta: float, weighted: bool = True):
         if not (nu_lower0 > 0 and math.isfinite(nu_lower0)):
             raise ValueError(f"initial lower bound must be positive and finite, got {nu_lower0}")
         if not (0.0 < delta < 1.0):
@@ -82,7 +75,6 @@ class EstimatorState:
         self.t = 0
         self.delta = delta
         self.full_alloc_steps = 0
-        self.u_alpha = {float(a): 0 for a in u_alpha_levels}
         self.weighted = weighted
         # Diagnostics: weight hit the numerical cap / interval would have
         # inverted (possible only when coverage has already failed).
@@ -153,14 +145,11 @@ class EstimatorState:
 
         if abs(m - nu_lower_prev) <= FULL_ALLOC_RTOL * nu_lower_prev:
             self.full_alloc_steps += 1
-        if self.u_alpha:
-            for a in self.u_alpha:
-                if m >= a:
-                    self.u_alpha[a] += 1
         return self
 
     def snapshot(self) -> str:
-        """JSON snapshot; doubles round-trip bit-exactly (shortest repr)."""
+        """JSON snapshot of the whole state, flags included; doubles
+        round-trip bit-exactly (shortest repr)."""
         return json.dumps(
             {
                 "L": self.lower_recip,
@@ -171,12 +160,14 @@ class EstimatorState:
                 "t": self.t,
                 "delta": self.delta,
                 "T": self.full_alloc_steps,
-                "u_alpha": {repr(a): c for a, c in self.u_alpha.items()},
+                "weighted": self.weighted,
+                "weight_capped": self.weight_capped,
+                "collapsed": self.collapsed,
             }
         )
 
     @classmethod
-    def from_snapshot(cls, text: str, weighted: bool = True) -> "EstimatorState":
+    def from_snapshot(cls, text: str) -> "EstimatorState":
         doc = json.loads(text)
         state = cls.__new__(cls)
         state.lower_recip = float(doc["L"])
@@ -187,13 +178,7 @@ class EstimatorState:
         state.t = int(doc["t"])
         state.delta = float(doc["delta"])
         state.full_alloc_steps = int(doc["T"])
-        state.u_alpha = {float(a): int(c) for a, c in doc["u_alpha"].items()}
-        state.weighted = weighted
-        state.weight_capped = False
-        state.collapsed = False
+        state.weighted = bool(doc["weighted"])
+        state.weight_capped = bool(doc["weight_capped"])
+        state.collapsed = bool(doc["collapsed"])
         return state
-
-
-def width(state: EstimatorState) -> float:
-    """Interval width in reciprocal space (non-negative, non-increasing)."""
-    return state.width()

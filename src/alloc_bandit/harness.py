@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import MODES, PolicyOptions, atomic_write_text, run_episode
+from .allocator import PolicyOptions, atomic_write_text, run_episode
 from .initialization import run_modified
 from .model import ProblemInstance
 
 WORKERS_ENV = "ALLOC_BANDIT_THREADS"
-
-DEFAULT_REPLICATIONS = 300
 
 
 @dataclass(frozen=True)
@@ -42,29 +41,27 @@ class ArmSpec:
     def __post_init__(self):
         if self.lower_bounds is not None:
             object.__setattr__(self, "lower_bounds", tuple(float(v) for v in self.lower_bounds))
-        if self.mode not in MODES:
-            raise ValueError(f"arm {self.name!r}: mode must be one of {MODES}, got {self.mode!r}")
-        if self.delta_override is not None and not (0.0 < self.delta_override < 1.0):
-            raise ValueError(
-                f"arm {self.name!r}: delta_override must lie in (0, 1), got {self.delta_override!r}"
-            )
+        try:
+            PolicyOptions(mode=self.mode, delta_override=self.delta_override)
+        except ValueError as exc:
+            raise ValueError(f"arm {self.name!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Declarative sweep description.
 
-    ``sweep`` is either ``"horizon"`` (grid entries are horizons) or
-    ``"nu<j>"`` with a 1-based job index (grid entries replace that
-    difficulty; ``horizon`` stays fixed).
+    ``sweep`` is either ``"horizon"`` (grid entries are horizons; ``horizon``
+    is unused) or ``"nu<j>"`` with a 1-based job index (grid entries replace
+    that difficulty; ``horizon`` is required and stays fixed).
     """
 
     experiment_id: str
     nus: tuple
-    horizon: int
+    horizon: Optional[int] = None
     sweep: str
     grid: tuple
-    replications: int = DEFAULT_REPLICATIONS
+    replications: int = 300
     arms: tuple = (ArmSpec(name="weighted"),)
     base_seed: int = 0
     output_path: Optional[str] = None
@@ -75,13 +72,19 @@ class ExperimentConfig:
         object.__setattr__(self, "arms", tuple(self.arms))
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
+        if not self.nus:
+            raise ValueError("nus must hold at least one difficulty")
         for i, nu in enumerate(self.nus):
             if nu is not None and not (nu > 0 and math.isfinite(nu)):
                 raise ValueError(f"nus[{i}] must be positive and finite (or null), got {nu!r}")
+        for name in ("replications", "horizon", "base_seed"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integer(name, value))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not self.arms:
-            raise ValueError("need at least one arm")
+            raise ValueError("arms: need at least one arm")
         names = [arm.name for arm in self.arms]
         for name in names:
             if names.count(name) > 1:
@@ -107,7 +110,7 @@ class ExperimentConfig:
                     raise ValueError(
                         f"difficulty grid entries must be positive and finite, got {value!r}"
                     )
-            if self.horizon < 1:
+            if self.horizon is None or self.horizon < 1:
                 raise ValueError(f"horizon must be >= 1 for a difficulty sweep, got {self.horizon}")
 
     def _sweep_index(self) -> int:
@@ -131,48 +134,38 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Parse a JSON config; keys are the field names of this class and,
-        per arm, of ArmSpec. Unknown keys are rejected."""
+        per arm, of ArmSpec. Unknown and missing required keys are rejected."""
         doc = json.loads(text)
-        _reject_unknown_keys(doc, cls, "config")
-        arms_doc = doc.get("arms")
-        if arms_doc:
-            for a in arms_doc:
-                _reject_unknown_keys(a, ArmSpec, "arm")
-            arms = tuple(
-                ArmSpec(
-                    name=a["name"],
-                    mode=a.get("mode", "weighted"),
-                    lower_bounds=tuple(a["lower_bounds"]) if a.get("lower_bounds") else None,
-                    delta_override=a.get("delta_override"),
-                )
-                for a in arms_doc
-            )
-        else:
-            arms = (ArmSpec(name="weighted"),)
-        sweep = doc["sweep"]
-        horizon = doc.get("horizon")
-        if horizon is None:
-            if sweep != "horizon":
-                raise ValueError("config must set 'horizon' unless sweeping it")
-            horizon = 1
-        return cls(
-            experiment_id=doc["experiment_id"],
-            nus=tuple(doc["nus"]),
-            horizon=int(horizon),
-            sweep=sweep,
-            grid=tuple(doc["grid"]),
-            replications=int(doc.get("replications", DEFAULT_REPLICATIONS)),
-            arms=arms,
-            base_seed=int(doc.get("base_seed", 0)),
-            output_path=doc.get("output_path"),
-        )
+        _check_keys(doc, cls, "config")
+        if "arms" in doc:
+            if not isinstance(doc["arms"], list):
+                raise ValueError(f"arms must be a list of arm objects, got {doc['arms']!r}")
+            for arm in doc["arms"]:
+                _check_keys(arm, ArmSpec, "arm")
+            doc["arms"] = [ArmSpec(**arm) for arm in doc["arms"]]
+        return cls(**doc)
 
 
-def _reject_unknown_keys(doc: dict, cls, where: str) -> None:
-    known = {f.name for f in fields(cls)}
+def _check_keys(doc, cls, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    known = [f.name for f in fields(cls)]
     for key in doc:
         if key not in known:
             raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(known)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in doc:
+            raise ValueError(f"{where} is missing required key {f.name!r}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: whole floats (2.0) convert, 2.5 and non-numbers
+    (bools and strings included) are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,11 @@ class InitRecord:
         }
 
 
-def halving_init(nu: Optional[float], rng: np.random.Generator, job: int = 0) -> InitRecord:
+def halving_init(nu: Optional[float], rng: np.random.Generator) -> InitRecord:
     """Probe a single job: allocate 2^-t until the first failure.
 
-    ``nu`` is the
-    true difficulty (None for unbounded). Each local step consumes one
-    uniform draw from ``rng``.
+    ``nu`` is the true difficulty (None for unbounded). Each local step
+    consumes one uniform draw from ``rng``. The record's ``job`` is 0.
     """
     if nu is not None and not nu > 0:
         raise ValueError(f"difficulty must be positive or None, got {nu}")
@@ -65,8 +64,8 @@ def halving_init(nu: Optional[float], rng: np.random.Generator, job: int = 0) ->
         m = 2.0**-t
         consumption.append(m)
         if not rng.random() < m * recip:
-            return InitRecord(job, t, m, tuple(consumption))
-    return InitRecord(job, MAX_HALVING_STEPS, 2.0**-MAX_HALVING_STEPS, tuple(consumption), capped=True)
+            return InitRecord(0, t, m, tuple(consumption))
+    return InitRecord(0, MAX_HALVING_STEPS, 2.0**-MAX_HALVING_STEPS, tuple(consumption), capped=True)
 
 
 def sample_eta(nu: Optional[float], nu_lower0: float) -> float:
@@ -75,14 +74,6 @@ def sample_eta(nu: Optional[float], nu_lower0: float) -> float:
         raise ValueError(f"lower bound must be positive, got {nu_lower0}")
     top = 1.0 if nu is None else min(1.0, nu)
     return top / nu_lower0
-
-
-def init_budget(t: int, num_jobs: int) -> float:
-    """Worst-case combined probe consumption at global step t, assuming
-    every probe is still active: sum_{k<=min(K,t)} 2^(k-t-1)."""
-    if t < 1:
-        raise ValueError(f"step must be >= 1, got {t}")
-    return sum(2.0 ** (k - t - 1) for k in range(1, min(num_jobs, t) + 1))
 
 
 def run_modified(instance: ProblemInstance, options: PolicyOptions = PolicyOptions()) -> RunTrace:

@@ -202,7 +202,7 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
     probing = lower_bounds is None
 
     def build(nu_lower0: float) -> EstimatorState:
-        return EstimatorState(nu_lower0, delta, options.u_alpha_levels, weighted=weighted)
+        return EstimatorState(nu_lower0, delta, weighted=weighted)
 
     states = [None] * K if probing else [build(v) for v in lower_bounds]
     probe_ends = [None] * K

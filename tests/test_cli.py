@@ -132,6 +132,23 @@ class TestExperimentCommand:
         assert result.returncode == 1
         assert "'replication'" in result.stderr
 
+    def test_bad_config_value_is_an_error(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "experiment_id": "mini",
+            "nus": [0.4, 0.6],
+            "sweep": "horizon",
+            "grid": [50],
+            "replications": 2.5,
+        }))
+        result = invoke("experiment", "--config", str(config))
+        assert result.returncode == 1
+        assert "replications must be an integer, got 2.5" in result.stderr
+        config.write_text(json.dumps({"experiment_id": "mini", "nus": [0.4, 0.6], "grid": [50]}))
+        result = invoke("experiment", "--config", str(config))
+        assert result.returncode == 1
+        assert "missing required key 'sweep'" in result.stderr
+
     def test_missing_config_file(self, tmp_path):
         result = invoke("experiment", "--config", str(tmp_path / "nope.json"))
         assert result.returncode != 0

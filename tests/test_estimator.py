@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alloc_bandit.estimator import EstimatorState, confidence_radius_f, width
-from alloc_bandit.model import split_rng
+from alloc_bandit.allocator import PolicyOptions, run_episode
+from alloc_bandit.estimator import EstimatorState, confidence_radius_f
+from alloc_bandit.model import ProblemInstance, split_rng
 from reference import WeightOverflowError, weight
 
 
@@ -84,7 +85,7 @@ class TestWeight:
 
 class TestUpdate:
     def test_one_step_worked_example(self):
-        state = EstimatorState(0.5, 0.01, u_alpha_levels=(0.1, 0.3))
+        state = EstimatorState(0.5, 0.01)
         state.update(0.5, 1)
         assert state.sum_wx == 1.0
         assert state.sum_wm == 0.5
@@ -96,7 +97,6 @@ class TestUpdate:
         assert state.lower_recip == 2.0  # min(2, 2 + radius)
         assert state.upper_recip == 0.0  # max(0, 2 - radius) clamped at 0
         assert state.full_alloc_steps == 1
-        assert state.u_alpha == {0.1: 1, 0.3: 1}
 
     def test_zero_outcome_leaves_sum_wx(self):
         state = EstimatorState(0.5, 0.01)
@@ -200,37 +200,56 @@ class TestTrajectoryInvariants:
 
 class TestWidth:
     def test_fresh_state(self):
-        assert width(EstimatorState(0.5, 0.01)) == 2.0
+        assert EstimatorState(0.5, 0.01).width() == 2.0
 
     def test_matches_method(self):
         state = EstimatorState(0.25, 0.01)
         state.update(0.2, 1)
-        assert width(state) == state.width() == state.lower_recip - state.upper_recip
+        assert state.width() == state.lower_recip - state.upper_recip
+
+
+def assert_round_trip(state: EstimatorState) -> None:
+    text = state.snapshot()
+    back = EstimatorState.from_snapshot(text)
+    for name in EstimatorState.__slots__:
+        assert getattr(back, name) == getattr(state, name), name
+    assert back.snapshot() == text
 
 
 class TestSnapshot:
     def test_round_trip_bit_exact(self):
         rng = split_rng(5)
-        state = EstimatorState(0.3, 2.5e-9, u_alpha_levels=(0.1, 0.3))
+        state = EstimatorState(0.3, 2.5e-9)
         for _ in range(500):
             m = min(state.nu_lower, 0.55)
             state.update(m, int(rng.random() < m / 0.7))
-        text = state.snapshot()
-        back = EstimatorState.from_snapshot(text)
-        assert back.lower_recip == state.lower_recip
-        assert back.upper_recip == state.upper_recip
-        assert back.sum_wx == state.sum_wx
-        assert back.sum_wm == state.sum_wm
-        assert back.r_max == state.r_max
-        assert back.t == state.t
-        assert back.delta == state.delta
-        assert back.full_alloc_steps == state.full_alloc_steps
-        assert back.u_alpha == state.u_alpha
-        assert back.snapshot() == text
+        assert_round_trip(state)
+
+    def test_collapsed_flag_survives(self):
+        # Known bounds above the true difficulties void coverage; with a
+        # loose delta job 2's interval collapses.
+        instance = ProblemInstance((0.3, 0.5), 300, 0)
+        trace = run_episode(instance, (0.6, 0.9), PolicyOptions(delta_override=0.5))
+        state = trace.estimators[1]
+        assert state.collapsed
+        assert_round_trip(state)
+
+    def test_unweighted_and_capped_states_survive(self):
+        state = EstimatorState(0.3, 1e-4, weighted=False)
+        state.update(0.3, 1)
+        assert_round_trip(state)
+        capped = EstimatorState(0.5, 0.01)
+        capped.lower_recip = capped.upper_recip = 2.0
+        capped.update(0.5, 1)
+        assert capped.weight_capped
+        assert_round_trip(capped)
 
     def test_schema_keys(self):
-        doc = json.loads(EstimatorState(0.5, 0.01, u_alpha_levels=(0.1,)).snapshot())
-        assert set(doc) == {"L", "U", "sum_wx", "sum_wm", "r_max", "t", "delta", "T", "u_alpha"}
+        doc = json.loads(EstimatorState(0.5, 0.01).snapshot())
+        assert set(doc) == {
+            "L", "U", "sum_wx", "sum_wm", "r_max", "t", "delta", "T",
+            "weighted", "weight_capped", "collapsed",
+        }
 
 
 def test_coverage_smoke():

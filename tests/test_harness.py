@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,62 @@ class TestConfig:
     def test_valid_arm_options_accepted(self):
         arm = ArmSpec("a", mode="unweighted", delta_override=0.05)
         assert small_config(arms=(arm,)).arms == (arm,)
+
+    def test_from_json_defaults_come_from_the_dataclasses(self):
+        doc = {"experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100]}
+        config = ExperimentConfig.from_json(json.dumps(doc))
+        assert config == ExperimentConfig(
+            experiment_id="x", nus=(0.4, 0.6), sweep="horizon", grid=(100,)
+        )
+        assert config.replications == 300 and config.base_seed == 0
+        assert config.arms == (ArmSpec(name="weighted"),)
+        doc["arms"] = [{"name": "a"}]
+        assert ExperimentConfig.from_json(json.dumps(doc)).arms == (ArmSpec(name="a"),)
+
+    @pytest.mark.parametrize("key", ["experiment_id", "nus", "sweep", "grid"])
+    def test_missing_required_key_named(self, key):
+        doc = {"experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100]}
+        del doc[key]
+        with pytest.raises(ValueError, match=f"config is missing required key {key!r}"):
+            ExperimentConfig.from_json(json.dumps(doc))
+        doc = {
+            "experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100],
+            "arms": [{"mode": "unweighted"}],
+        }
+        with pytest.raises(ValueError, match="arm is missing required key 'name'"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_difficulty_sweep_needs_a_horizon(self):
+        doc = {"experiment_id": "x", "nus": [0.4, 0.6], "sweep": "nu2", "grid": [0.5]}
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"arms": []}, "arms: need at least one arm"),
+            ({"arms": None}, "arms must be a list"),
+            ({"arms": [{"name": "a", "lower_bounds": []}]}, "arm 'a': expected 2 lower bounds, got 0"),
+            ({"arms": ["weighted"]}, "arm must be a JSON object"),
+            ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+            ({"replications": "3"}, "replications must be an integer, got '3'"),
+            ({"replications": True}, "replications must be an integer, got True"),
+            ({"horizon": 99.7}, "horizon must be an integer, got 99.7"),
+            ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+            ({"nus": []}, "nus must hold at least one difficulty"),
+        ],
+    )
+    def test_bad_values_rejected_not_defaulted(self, overrides, message):
+        doc = {"experiment_id": "x", "nus": [0.4, 0.6], "sweep": "nu2", "grid": [0.5],
+               "horizon": 100}
+        doc.update(overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_whole_float_counts_accepted(self):
+        config = small_config(replications=4.0, horizon=200.0, base_seed=7.0)
+        assert (config.replications, config.horizon, config.base_seed) == (4, 200, 7)
+        assert all(type(v) is int for v in (config.replications, config.horizon, config.base_seed))
 
     @pytest.mark.parametrize("nu", [-0.4, 0.0, float("inf"), float("nan")])
     def test_nus_must_be_positive_and_finite(self, nu):

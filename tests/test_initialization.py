@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from alloc_bandit.allocator import PolicyOptions
 from alloc_bandit.initialization import (
     MAX_HALVING_STEPS,
     halving_init,
-    init_budget,
     run_modified,
     sample_eta,
 )
@@ -101,22 +98,6 @@ class TestSampleEta:
     def test_requires_positive_bound(self):
         with pytest.raises(ValueError):
             sample_eta(0.5, 0.0)
-
-
-class TestInitBudget:
-    def test_schedule_values(self):
-        assert init_budget(4, 3) == pytest.approx(7 / 16)
-        assert init_budget(1, 3) == pytest.approx(1 / 2)
-        assert init_budget(2, 3) == pytest.approx(3 / 4)
-        assert init_budget(3, 3) == pytest.approx(7 / 8)
-
-    @given(st.integers(1, 200), st.integers(1, 30))
-    def test_within_displayed_bound(self, t, K):
-        assert init_budget(t, K) <= min(1.0, 2.0 ** (K - t)) + 1e-15
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            init_budget(0, 2)
 
 
 def probe_consumption_by_step(trace):

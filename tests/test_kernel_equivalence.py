@@ -56,8 +56,6 @@ def random_case(K: int, horizon_kind: str):
     extra = {"seed": int(g.integers(0, 2**32))}
     if g.random() < 0.3:
         extra["delta_override"] = 0.3
-    if g.random() < 0.3:
-        extra["u_alpha_levels"] = (0.1, 0.4)
     instance = ProblemInstance(tuple(nus), horizon, int(g.integers(0, 2**32)))
     return instance, tuple(lower_bounds), extra
 

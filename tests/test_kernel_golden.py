@@ -36,7 +36,7 @@ CASES = {
     "k2_n1": ((0.4, 0.6), 1, 5, (0.2, 0.3), {}),
     "k2_options": (
         (0.3, 0.9), 600, 2, (0.1, 0.45),
-        {"seed": 9, "delta_override": 0.01, "u_alpha_levels": (0.1, 0.3)},
+        {"seed": 9, "delta_override": 0.01},
     ),
     "k2_capped_probe": ((1e-25, 0.5), 120, 6, (1e-26, 0.25), {}),
     "k2_violated_bounds": ((0.3, 0.5), 300, 0, (0.6, 0.9), {"delta_override": 0.5}),
@@ -96,46 +96,46 @@ def case_digests(name: str, runner: str, directory: str) -> dict:
 
 GOLDEN = {
     ('k1', 'episode'): {
-        'weighted/plain': '6c078a52a1d56da5e53c7f1144831ca230b5f39334323e5a708a3adebd89ee9b',
-        'weighted/intervals': 'a98b71eef24cc833c61a693e7ad552c284f0c1ae770b974dd8a9922906fc2e2c',
-        'unweighted/plain': '426468e861c819b0b62ed1661f098c566a5098a9c7ff4c345dcce942272dbebb',
-        'unweighted/intervals': '32b5028705904cf6a047867fb6fa3195e2a067fee1f5b74ff124a0dd7ea262fe',
+        'weighted/plain': '57cda1c1a0502f4e19c2237be032e68951e08a978e399d1b01e91d5b8d73aa4a',
+        'weighted/intervals': '4d70b1499b5862fb19a13e6332270c3c0a0affdfe470c07019e3c38a4859e0b0',
+        'unweighted/plain': '83c3f562e0dff51eb781404a60b7fc2d25f67c6849d80d0e443892e8a1756040',
+        'unweighted/intervals': '0105670e6262f73610e74adc7d2e10d114753582231e6048d7c0b021fd732cca',
     },
     ('k1', 'modified'): {
-        'weighted/plain': 'edcd1d2ecbf0cbedd3926f0112d25f12a6a2062a199f76e11f3b52dd46250f85',
-        'weighted/intervals': '164eeddbafd98a38dcb7b40dc95577cb6c0be38342e543c767123754dbee6f5a',
-        'unweighted/plain': '0699ecfbe167535ed4ddb61cc3e88e61a0207e506cf64b31c6bcd7fc46c3b0bc',
-        'unweighted/intervals': 'bfbd0979ca29c621a68e5f187e19f8b2861e41a913c3088c6720ab02b12ae16b',
+        'weighted/plain': '0e581c9dea1693a170bc17afd140b25f102dfc372d96e9f0ee0531a9d0598f70',
+        'weighted/intervals': 'cc74ce3bb9d4f8eb819efcfc612dd995c6038d3dfc65d83857bdf5d780420128',
+        'unweighted/plain': 'd2988664d5e805f84e46e84a1466abae7b30ae727af0b865ee40865b4af8093f',
+        'unweighted/intervals': '8ff3436b1298818d74dbaf5072c4e580b5ddf830100e7e01822d484bd3a69589',
     },
     ('k1_refill', 'episode'): {
-        'weighted/plain': 'a569ed53395a46679c614744ebd4c637b9350bf38a1039d2d2334af5b166f887',
-        'weighted/intervals': '2eeee00ee91f822e54710e84b72f262f968b6bab95290cdbcbea041ac40b6d7f',
-        'unweighted/plain': '93b0d93594f654d77f7a879ff13ef0f48a54dfb8d2cbbec40053c9f74b5f066d',
-        'unweighted/intervals': '35570e16d2885f215f505da99ac941e4cd5c9d76c2b4f4907a93c6b2cad30063',
+        'weighted/plain': 'a11ffe654a5f7224dcea3a1b6f52f9ef5f96e9f243ebf8ef2d373d967285899a',
+        'weighted/intervals': 'ce0543761910dccd8789e3f40c1a38cb1ceb948c0ad3388eba515184a14077e2',
+        'unweighted/plain': '88ca7f61902e700a6920fe2777cd37c6a3f8097eb722a4dd303a0fa5bdd4948f',
+        'unweighted/intervals': 'bf042599c0a50d97616aefee17c330a0b53b18ca323596b7ca8fa53f7115f3a3',
     },
     ('k1_refill', 'modified'): {
-        'weighted/plain': '902e63c3666717559625f5f5cc0b019c87d918dcdc471922a5f41bc512eea2eb',
-        'weighted/intervals': 'f018c0bf6ba6989a3bf7d289c126bd90f6980b2ebb8186ef594ad49f42871cb3',
-        'unweighted/plain': 'dd706cd96fb6c0821be18d423535deb09814461ed579ad37539e15f38cc4b1be',
-        'unweighted/intervals': '2fad8001586d7a00be348593c3ee0ded5cd0441340e0b6f7375ca666fbfb2a00',
+        'weighted/plain': 'f4d38e4edb1190b2bdefcda9db91f09802c855214ea590ae9b91f6eff2aa5830',
+        'weighted/intervals': '598331532ea2341422a45cde373f6aa19cbe130c21f08e5d1fe7129a07663bbc',
+        'unweighted/plain': 'a16c8c7d1715766011976b8058dcaf4136428454a98fa0a6e666cf48a50e9ceb',
+        'unweighted/intervals': '6ec5452959870c95150b9aacb03953ba7dfba7d9a84b733378f77fc3754492c3',
     },
     ('k2_capped_probe', 'episode'): {
-        'weighted/plain': 'cb1c8fed222ef68161afc70c88b9ca9208e064fd2f43db5697addd21effc5d67',
-        'weighted/intervals': '111bd7986d8c58782add4a5041daa2a378b879e71a15a6966a9daea1e88f3bbf',
-        'unweighted/plain': '3e181630e4b56ff138856bdc55da3a9c0c1364edcb08b6ad9f846e211db4963f',
-        'unweighted/intervals': '70bdaa9cbc70a7464ff62d1dbe0cfb4a96829eea4ba641e2754602073a2fb924',
+        'weighted/plain': '8552d8edd0a407461e1a5a8e9c1eac73b06727a37053ab03dc30be7491b660b3',
+        'weighted/intervals': '6ff2a21c229161e10377a22e36633c0627d83b240ce3ec7f41a3190907652307',
+        'unweighted/plain': '115a98f67e885e146d3598893551c34a4e1a5ad7968da5c697568a5a17ca7f71',
+        'unweighted/intervals': 'c6bf2832708ff3ec070809c13fce4d88c1b72ac0d77c3a6b59d0e36856d142ad',
     },
     ('k2_capped_probe', 'modified'): {
-        'weighted/plain': '9ec1bc3d771c38e29ef5942296a85e643f62dcdfc7647623839cf3ff949de7b1',
-        'weighted/intervals': '83f6bdc9bf6fd16ec71bda765ba6423fd4492ee481e2be306c4ea54e6a5f620c',
-        'unweighted/plain': '6a0bd455593b21180390b0bd1f1abd268616cb5ab63b51726d2c6ff2dda52b7d',
-        'unweighted/intervals': '995ca796afb1565ef9e2cfba7e7a12921c9d02e1f5827c3c3f5ac0cf18956494',
+        'weighted/plain': '80be95e1561dcec41bce85fe7ca8d6f80c9002650a08940a30e9ae0ff9324dae',
+        'weighted/intervals': 'f1933b2b61640ba0eff901ad6ae3d9ce937e39cf5156359f319b9e99b186db94',
+        'unweighted/plain': '2af630098bd356f1e690a111751b1478c92d2469428613ff136079a7b2fc3a7d',
+        'unweighted/intervals': '6954d12af74fb1a38d920a7588b659da49aeba857992ed8a9f56bc2e3e76e3cd',
     },
     ('k2_n1', 'episode'): {
-        'weighted/plain': 'cd86c367d460809a3a9887fd65c35cea888facde7c8293c4b136a96526ddabe5',
-        'weighted/intervals': '26d49c955808d58f2cbdf9f2e895f4a5d3422aa13efd3b2f93b923656ce9404a',
-        'unweighted/plain': 'ada863c1d7e68f93ec26a46306c92772f58121f3ff7044c2929df0a5d4ba54b0',
-        'unweighted/intervals': '6fedf68f990ef6aaaadc4bc3fd912e0c510776859a1074f1b8d11036cc30c3c1',
+        'weighted/plain': '5a92dba96adbd33f3ae2f5c38e180b4003cae5ea1f1e23832a041cae4e99e585',
+        'weighted/intervals': 'aa2772b1512d2314e6ce095ae8e923f89deb4be9c8b2601ea97c61657edaec07',
+        'unweighted/plain': '24fead751f21e6ccdecf81ce95c4ee4fe01825fbfdba315acfba1f2c80ceef2a',
+        'unweighted/intervals': 'e32f659e9ec08dc1fb23c554a3d196a002ba22c6fcae5c041d4fb890958e3b98',
     },
     ('k2_n1', 'modified'): {
         'weighted/plain': 'e4651fc755c4520f73820b766aa76f985034b40c383c0db8184f7ab538fc477e',
@@ -144,112 +144,112 @@ GOLDEN = {
         'unweighted/intervals': 'd39beadd67d3fc6fee1821071726f893602b8341ed849b2f704ac69b60e2a9f5',
     },
     ('k2_options', 'episode'): {
-        'weighted/plain': '7e024aa395dc73c30ba23f07e407fe336bc4f0063e40aa6364e74a07c620e0a8',
-        'weighted/intervals': '305cb802203d617af2dd626cff0aff9acd46118614290da7e0fb8a30a7e5325a',
-        'unweighted/plain': '81a8cdeddacdf5f0b44ab82d963201006dbdbb3dd2731db4866a490862b63153',
-        'unweighted/intervals': '30509114fbb5681b565621c4c0d84b1780ea7c537b56f302047296a44796bff3',
+        'weighted/plain': '7a772368d507bfff6e52735604854f7552a7d5c76e85b848b928c69d098f8c71',
+        'weighted/intervals': '813db9fd549f9628a76fed6b7efe84ae0d13e42b8a93dda2fec5a4b5430bc567',
+        'unweighted/plain': 'ad389d3fd19e6e5ea2381505afdeb0c0f4b8b3d9ec3ae7cea28f2f1bef1513a0',
+        'unweighted/intervals': 'a83620a37629006a137db1d717f7cd59417f2c300abe913f9acffa4e3300239c',
     },
     ('k2_options', 'modified'): {
-        'weighted/plain': '790cd3bfa97720cfaa018c277b849c16134034487625715b078e23b2a1f4ab80',
-        'weighted/intervals': '49f21e0e5ad3c5eef0671569fbba675600d6b3cda232855f0ffea751bfd20a28',
-        'unweighted/plain': 'baa1185f7c40675fe2721675c241820e883ad79d486522733e6119959632f232',
-        'unweighted/intervals': '2e02bb6c18734f7e15af43e08620d7df4e7574d560d76dfacff8a913544dbe18',
+        'weighted/plain': '851f5a05d072d72232dd03f082790f33477cdc1efb9470991df83e9c3fd0b0dc',
+        'weighted/intervals': '2c1161deec9d0ccdce4722abb637ee04906c678e98738e69b3e76836aec5d96b',
+        'unweighted/plain': 'fefc504bb40074cef5f09623cde23737c4606453fc5b087f199efe88d17ac95d',
+        'unweighted/intervals': 'ac4a070744c1354765198f8802d0553c4c50aeecb6db3eca0a570da1de7a4952',
     },
     ('k2_refill', 'episode'): {
-        'weighted/plain': 'fe640d11f64688a92e9771c885374ffb7b087c2b77c959274fc780123ac41894',
-        'weighted/intervals': '51da82d500780b92daf0181041095c43c10c38848133df97edf441c5707fe441',
-        'unweighted/plain': '516c439e769b77ff92e12763fa0b12c05f4f9c9444ea975d8456b8397e2aad07',
-        'unweighted/intervals': 'f5be7a54d66328f74153bacd655b1a4479a3c520a7b117977d99bbf0dbb09cd6',
+        'weighted/plain': '4b060cc31466507b7e2a171095b735adf91a719b74b6d07131403c73786b3884',
+        'weighted/intervals': '870c9e6f7710c594c596b572edf22c313a2ceb7643dc65d2f23f8cf9907dcc3e',
+        'unweighted/plain': '21149bf4ef4afd1af160ef090c9672cba954d1e6aecc48e0271ea79c85c40c53',
+        'unweighted/intervals': 'a61c177c1ea24469402484ef504e4d267c21093661cad5da4b431363fd3a4049',
     },
     ('k2_refill', 'modified'): {
-        'weighted/plain': '9e6bb98cbf8e4a6961e885bb71bd4e6f827b64fd7e9cf9c36b1290aa45db0826',
-        'weighted/intervals': '7fb535fb91ee44efd84b5707cf67fa7d3dd19dc89813769982f025e2034c616a',
-        'unweighted/plain': '0bfdee1816da92637853699dfe038a971ad4b73ad3d953cecd92322a71e6a90c',
-        'unweighted/intervals': '0dd23ec22d338095f7dafecf70c51fcdab4774cff0860b559ef8e0b5262272a2',
+        'weighted/plain': '5983be0ddcf94485e9c242b87b7a29a0ed075135865c4e419de6dc64f5c8e19c',
+        'weighted/intervals': '91c93b0905dc69d25639cb44750d02660b51cb2a174cb5e60785288785f03c97',
+        'unweighted/plain': '5c53887648c3738df8fe92dc64b191461d8ef75bbae6b89cd85e5761cf2d516c',
+        'unweighted/intervals': 'bec4b3ca1ce6186151b82fa3cbdb968e53cbf824eb9afe558da9b5a9fe83b549',
     },
     ('k2_violated_bounds', 'episode'): {
-        'weighted/plain': 'c2cd1a2de13bfc0d5da86be9b2ab50c94c5ebbc91f4e088f59e1effa2e41a5e2',
-        'weighted/intervals': '416a05e90b686a27bd89753955c7086653f076ed506a5103df4ec77d9d8ee057',
-        'unweighted/plain': 'ac04524c0b0fc067006e2dc176c8421bd3af5e4f8b3b1e274b434fa55b15d404',
-        'unweighted/intervals': '34cffcc9fba2bc95f1303673c2a50aac8a384b42e2dbef84b996581678c92718',
+        'weighted/plain': '08949a8af8884e278cf414e1ba431cd3e8c019f41736a8c97282bdc77bcb12b0',
+        'weighted/intervals': 'bc50a2e2fd1551583221b1802ccca2022087507326e8b1cec910fb28b430afdf',
+        'unweighted/plain': 'b34d6e4957ff37b14cb164436a9f1e3448872f2326e629103c6e5ebb66715caf',
+        'unweighted/intervals': '60997b4cbf330527bbb7ccfafa23a4ee47dc6be0217e3f49c256a3fb36bb133f',
     },
     ('k2_violated_bounds', 'modified'): {
-        'weighted/plain': 'f94b9789435a5cb67614c2662dc1f4c56c150b90ed9ea9abf747dafa2a8e502b',
-        'weighted/intervals': 'a8cacfd9573bf0935013d238f2661353ccfdd38e2fb4eaa2a098a3296ad11b06',
-        'unweighted/plain': '7d32409c56c16fa37263152e958dc1a189b35bbad960b7e90e3c485ce816b0a3',
-        'unweighted/intervals': 'e4ae51728be6913227d4b923a00570e47a1d18c179f954a2b0edb319105f7668',
+        'weighted/plain': '5793a78a6063412f07c11310d54a6213ef45d51dd908ec5427108efd28f39ec8',
+        'weighted/intervals': 'cf68d128f6ff95bdcde602449ca180a6774e7f7051087260f94230fb2b919c46',
+        'unweighted/plain': '8834dcd2452645f4b1a5e8de03d5121f80790622188c03465c528358749c4188',
+        'unweighted/intervals': '8af0ea0f250380a21ba7e0be936a0c82580aed37c7d0f3584c7ebef2a0edbff8',
     },
     ('k32_n_lt_k', 'episode'): {
-        'weighted/plain': 'd1071a86a1dd693a481f5a3d61bc8babaa5e8f576026d36d5ad6c2a2169780e0',
-        'weighted/intervals': '00f06f331c858bc1b23ca3aed498d277d7efff7d838bf6abdd5fdabaaecef1a3',
-        'unweighted/plain': '82dbfd3353d3fb8e28a77ec0947941dfcc35f96eef4e6ecd0264a9b275780407',
-        'unweighted/intervals': '888297ecbbc032520eadfdbe84d1b0552dc313a2e69565a77e8d727d021bb1fd',
+        'weighted/plain': '8ff8e2f48a6392bcb73f73fae947b52f80787f0505ceeb024460c4b01cc2c7ac',
+        'weighted/intervals': '79cdf4f62d3432bde3c46af10777a67900411488cb25ca471cafc3e8745c5e76',
+        'unweighted/plain': '8e83e930f4bb9d7db98b17355986279c92c3b3971f71f184921599c9cec6e6b9',
+        'unweighted/intervals': '59e129febc768b1d0d7b6c5fdd614a260dd47ab531065440343972bbeac07a6d',
     },
     ('k32_n_lt_k', 'modified'): {
-        'weighted/plain': 'fc746651bb60b9c169086302ffac34add4c75633d5f720d9cdda298fbb78f6b2',
-        'weighted/intervals': '048e9dd04d4a1487f414799b1c83b68c2518c1e33400fb93ac55d2a4ee87714c',
-        'unweighted/plain': '2e2bcdc54527ea605794b259adf30c62c1ec5e0a4ae6330f9bb6564fab202961',
-        'unweighted/intervals': '4ddf3413053cc61098261f28eaefe0897048d74297047697e786a1fa31d7457d',
+        'weighted/plain': 'bedf3f046e298c8d78d68c839e40d929ed4cfbc6b50bdaf0018420781b1b7d80',
+        'weighted/intervals': '1c16dbed6bde9d63ceba54fc5f97d36d3e97f976bac81d254078dc7e62740cc3',
+        'unweighted/plain': '79880ff6b63f4787b470a40d0a57f568b878ded7fa261345214874ad38d53b8b',
+        'unweighted/intervals': '84348eefcabfa94cd0c6e3cdc25a0ed24e9a9e5a3730b5e8d366ed30e63c8e52',
     },
     ('k32_refill', 'episode'): {
-        'weighted/plain': '8c86f860b745b027c07d2c126927d5f9c51b5d6c4e24bcfe5afa561dfd2a960d',
-        'weighted/intervals': 'f0a283de4de6c692a1e5f53d4419808828b85a24241b83a0e7074e3f0e798e8e',
-        'unweighted/plain': '430e77ca55cf2137c79683a13a7ffa0ac37d21b5825a4da2e19902a557189ac0',
-        'unweighted/intervals': '4eeec6824aefe6685ecfb796cc8d682bd956bcad8a16401563eb826eb7216be8',
+        'weighted/plain': '3a99e7e01a4746dfc4abeddb5fe073702904895c56783cf3dd183d55349b6fe1',
+        'weighted/intervals': '23061da82907023a07b70e0d3954830da968da82ecc12042febd3a7f4ceede37',
+        'unweighted/plain': '103c769bd85d7132503fa3ebc4a1cfda8af26ee17d562729e3a2682d85601081',
+        'unweighted/intervals': 'f44b744b4a5c701bacfacbaa07d162d985940dfebcfff97e207d5439c5c006d8',
     },
     ('k32_refill', 'modified'): {
-        'weighted/plain': '458d1359a18d7caa759a8be4500ecfcd49ac966ed996a8dfe641e44bcc1e5821',
-        'weighted/intervals': '8d540385682d65fc419f0ae19a0ad40de6266083fcf85f95dc17ccda25426a36',
-        'unweighted/plain': '81beedba7476c8b769122d535df5d78d03fb34a0dc988cb6eb3e98a0d9774585',
-        'unweighted/intervals': 'd4a5220183eeb444ed451dc0a607361f36c0124645549391f8adbd7c5e1a802e',
+        'weighted/plain': '3dd2616bcc1c33b93205f57ffd0de092bed3c77d3917bae0893a4aeca1328a75',
+        'weighted/intervals': '135709147a2c50381f021cd9071dff08ed354f9f65e869b9b50f7524fe60eee6',
+        'unweighted/plain': '9cf612a396a6ba2462efe004644a00e38112e5053bc2c00afed4855b7821cf44',
+        'unweighted/intervals': '8c48f1bcd97a9363ec3813d075738e7f1d88813ba1825bc44755cac00524d17a',
     },
     ('k3_ties', 'episode'): {
-        'weighted/plain': 'a96b357ebeef95cae50d931a7204dcfd15dd661bbeb9037357b92f4b68b3b6af',
-        'weighted/intervals': '8db7ace760d1cd49013af3f23906d36d4e7815e3a8e194fe5991dcc7a91c5a2d',
-        'unweighted/plain': '7f502102ae09ef84a0fa42bf5caa66d70d9360023448390146034a7b00aa5941',
-        'unweighted/intervals': '6c0c7a7814144bc41b737c860bb538060eaf87517619e5ce4412643603e5f9da',
+        'weighted/plain': '76ea2ad4833d25650ca4db7910255db75e020dcaf260e89146a7c3089d76750d',
+        'weighted/intervals': '79194be416dc89d496b028e725a7401e9005f79fbdae8f36354f407707dee243',
+        'unweighted/plain': '001a36e30b6fbc787634add10883a8c0503d8eb87c66224810995fa443c98d46',
+        'unweighted/intervals': 'e3d10a1af441a741ce32926078e4369a6dbf111d144201f783233b7e137ac2cc',
     },
     ('k3_ties', 'modified'): {
-        'weighted/plain': 'b6e44e8d0e9a4a87054a5f1d92b9d030748e64f36c9e5185df2b0634b6d2558b',
-        'weighted/intervals': '9fb98b0aa85b066368860f6697c2dd506d3b1c996f44e32b2ad58b2d00f40c77',
-        'unweighted/plain': '737cf02bd17d5aba1ad73c029dbee3c7b29539c6fc56d36d6238d2fad6aa0567',
-        'unweighted/intervals': '907f7ed9cb3cf36a6fc20de399160c1df130c2dc892774c901e9d355905512ea',
+        'weighted/plain': '0e61fb1b5a7fc7dc86082ca6afed5b3fd4cb4b7507ae22f959715e0b53559825',
+        'weighted/intervals': '134495f599d636116db3ed3121573a5c945dceea6def53abda94be85efb3fd84',
+        'unweighted/plain': 'f8e65437c6c4de74e8045f03584826cddac8aaa9f617a41f1fdba335a9fc672f',
+        'unweighted/intervals': 'ca0ec6fb9ef882b31734971ca3c51fa1ffe26bb6d811d405c49c5316f15682b0',
     },
     ('k3_unbounded', 'episode'): {
-        'weighted/plain': 'b989737dbe0135f36e89b3d6476b0110fbd94abd56f04a444747b47d37bdfa20',
-        'weighted/intervals': '5fa1dce711e35c5bcbbceddfd56181291d704b83fb44a0a24c6321bc48bf14d3',
-        'unweighted/plain': '8db63e7d64f26ab21225aa059d748ee6865455d36c317ee7cd6affc74b2a535a',
-        'unweighted/intervals': 'e655967758e56ff0c5244a6f5c5f1dc22cc35490f2ab937094a76a82ee5731c8',
+        'weighted/plain': 'b46d44e1be49c646e24b630611a292431cca4c7f627ad19388f083222319040b',
+        'weighted/intervals': '0a8bc1143dce2771f83cb38db1a818e6e312f449e41632fe927f1f8cc8a91c43',
+        'unweighted/plain': '8060334b24acc562cb468ffe5e89b08e033f4bf3a607c5606ff9a93fb3843822',
+        'unweighted/intervals': '09cb49c91270fa304d842127b2dffd7ef38f1841a792315de73ede04bdca7ed4',
     },
     ('k3_unbounded', 'modified'): {
-        'weighted/plain': '5fd3d53802f446fc1ed4360ce3315fc0f81d9f513ad145f321e9021a3781f3a5',
-        'weighted/intervals': '3731d09bc1f9f43fa2b7f44ffa1c8c3ef4146ce85b6120655d749a9d0c3a0f96',
-        'unweighted/plain': '01470fc9e58d32cfaf74313beee66e2059ef4300f05b9b5c1f59b4596dab18a0',
-        'unweighted/intervals': 'e91711a922eb4d9909df76185cffce53abc046fa6c9e1ea7579b570bbc4fc481',
+        'weighted/plain': '01e4f9d6a4e6e85ebef5e2a1bd3249feda16b33a021f411089b7fd01c932159e',
+        'weighted/intervals': '6aa490991f7f136283dcea8b037073a501318e83244de30267c378f98e4186cc',
+        'unweighted/plain': 'c3075034e8e8e1d6eae3c22bddac1d06fa282193e73b01d191a82aede2beba48',
+        'unweighted/intervals': '6e655f3dfccd1b4e3bbe9bbaae78fbc27c6bef9e2418cdfbada64678a56988e1',
     },
     ('k8_n_lt_k', 'episode'): {
-        'weighted/plain': '889be22e3881bbb3a5cdefdd0b7a1dc47519c88477e406fee7e40bc2dbecac2b',
-        'weighted/intervals': '8fe1c357be8a40c4eb6e9b44e7a54b704864eb599829c4ee728a1ebf54c2f81d',
-        'unweighted/plain': '67c383d59709cdbaeb102ced2f4ee53bf468a7671d551f502c5cb96109922d51',
-        'unweighted/intervals': 'd96e470bb6da461928a9d0a7a95be9401c92abc1485654ca785eadb9a32a16a7',
+        'weighted/plain': '07b5a3972f59d3dcafa792796f1934a9c35a54c18bef35caa9897d656ac6bede',
+        'weighted/intervals': '85c7fee51dc8763d8c273807ea8376018f73e00346e0e1c407717d2c52af80a2',
+        'unweighted/plain': 'aabe709e710c93322b372afe3ef1e0d0a1e908937f658231a55c7313fae4d5e5',
+        'unweighted/intervals': 'bca7993160817ac5cf550aaf1454927e7172540c77ee8101a068302220705c2e',
     },
     ('k8_n_lt_k', 'modified'): {
-        'weighted/plain': '80359c95744345d9342f8e5374c4f78b65b1fad005a8e27c9d6bc51a10428ecd',
-        'weighted/intervals': 'f2ab873c10e2c181c031f4a9aa5102c763cab0b60685815356709855586961a3',
-        'unweighted/plain': 'c2262818915ff42c10525ab4159ffc5d2476c716b5787c64759dbcd8e8fe56ed',
-        'unweighted/intervals': 'd97a9824c50b2bdd1b81def931f7d19c52ac4489c0896571e02d40bdcdb099f8',
+        'weighted/plain': '1a1370136b58c31f40820a2fbbdf0016197276d8883e85fa56409ab83c39e2af',
+        'weighted/intervals': 'dcf2edd6730590c663b5860ee99d4b13e29f5251146ed88d6cdd606abcf4608b',
+        'unweighted/plain': '7b4ca044315e0a8dc6642f2c44e422402a45955fa0a3cd056bdee989dbce5834',
+        'unweighted/intervals': '90094e298db6cdf39a4f65c0719a65efa8034ebdbc07db089ba7046846ea98b7',
     },
     ('k8_refill', 'episode'): {
-        'weighted/plain': '5d254570b158faa6bd8543d8f9b6991d1ce3dbe090114273cb2bb2d2049fd081',
-        'weighted/intervals': '59b281c721b8bb59ba698ada85e4b48da0612af86464736fc7f0734e3552bc09',
-        'unweighted/plain': '341b50ebabea3345b18c1f81540c97534e4bce59b72df09b521a50c56aa39304',
-        'unweighted/intervals': '51fea00f5db04b0aeb073da8231efd6a3812d0ba4054294e3eecb9683437e319',
+        'weighted/plain': '8d8c53cc1f6f9c0658e9e242fd50f170a6415ed67f0d76c39cc5597898bd2b1a',
+        'weighted/intervals': 'fb829a9ca29789e3550dfacbac49345db3202877ab1074b4cf68f5088475fb49',
+        'unweighted/plain': '3fb3e7cd0d7bfa0285ca3d3279315477ae2a22b35372885149315e2c38cc5424',
+        'unweighted/intervals': 'e3ff3438258bfe34c51e5508f9b581033e1d5b97668eb0a0ce6cfb50515c62b5',
     },
     ('k8_refill', 'modified'): {
-        'weighted/plain': 'dde5538c2aa706104d9dd9a7105b046af37fb1dbffc3c4222cf79aa4badad9ae',
-        'weighted/intervals': '1b22acd9809cb17995cd954b22c91c58721bd6b0b74232d65f4b23c2c0996899',
-        'unweighted/plain': 'f7726a3eaf0472d7e8a0928fd1053fc437683c3317d4e02d2c0bdc110f403af5',
-        'unweighted/intervals': 'acd265355032b06ade4fd6d6d5b769973e40d72c0b3e5d949d8bce0034748330',
+        'weighted/plain': 'f695b8c57d119c87c3f7473ff7148ac180c1f14fc2a246ab96a082c6c0186c5c',
+        'weighted/intervals': '199c734fe9f2391219475fb7103160076df2d4d5e4e569e8da284dddfe6ed895',
+        'unweighted/plain': 'e9022f54d9287f0a5ddddb2cf454e82d73b026047a206b273f84e34e6544d689',
+        'unweighted/intervals': 'd201693d2245ddd715f469beecd00178d3fe8a75ddcd95800540f6aa908d679c',
     },
 }
 
