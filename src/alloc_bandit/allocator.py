@@ -17,7 +17,6 @@ everyone else's allocation and outcome stay 0 in the trace.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from array import array
@@ -28,13 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimator import EstimatorState
-from .model import (
-    Allocation,
-    OptimalProfile,
-    ProblemInstance,
-    optimal_profile,
-    split_rng,
-)
+from .model import OptimalProfile, ProblemInstance, optimal_profile, split_rng
 
 MODES = ("weighted", "unweighted")
 
@@ -169,17 +162,6 @@ def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
         if remaining < 0.0:
             remaining = 0.0
     return fill
-
-
-def allocate(lower_recips: Sequence[float], budget: float = 1.0) -> Allocation:
-    """Optimistic allocation for the given reciprocal lower bounds. A job
-    with lower_recip 0 has no bound yet: it receives 0 and consumes no
-    budget."""
-    m = [0.0] * len(lower_recips)
-    order = sorted((1.0 / L, k) for k, L in enumerate(lower_recips) if L > 0.0)
-    for k, take in _allocate_raw(order, budget):
-        m[k] = take
-    return Allocation(tuple(m))
 
 
 def default_delta(horizon: int, num_jobs: int) -> float:
@@ -339,90 +321,17 @@ def run_episode(
     bounds 0 < nu_lower0_k <= nu_k.
 
     Violated initial bounds void the confidence guarantees but the runner
-    still executes. Jobs receiving zero allocation at a step contribute no
-    information and their estimator is not updated. Deterministic given
+    still executes; a bound that is not positive and finite is rejected by
+    its estimator before the first step. Jobs receiving zero allocation at
+    a step contribute no information and their estimator is not updated. Deterministic given
     (instance.base_seed, options.seed).
     """
     K = instance.num_jobs
     lbs = [float(v) for v in initial_lower_bounds]
     if len(lbs) != K:
         raise ValueError(f"expected {K} initial lower bounds, got {len(lbs)}")
-    for v in lbs:
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError(f"initial lower bounds must be positive, got {v}")
     profile = optimal_profile(instance)
     rng = split_rng(instance.base_seed, options.seed)
     trace, _ = _simulate(instance, options, profile, rng, lbs)
     trace.metadata["initial_lower_bounds"] = lbs
     return trace
-
-
-def regret_upper_bound(
-    instance: ProblemInstance,
-    initial_lower_bounds: Sequence[float],
-    n: int,
-) -> float:
-    """Closed-form regret bound for the optimistic policy, evaluated from
-    the true difficulties (reference curve only; the policy never sees nu).
-
-    With delta = (nK)^-2, eta_k = min(1, nu_k) / nu_lower0_k,
-    delta~_k = delta / (48 eta_k^4 n^6), c_{k,1} = 27 log(2/delta~_k),
-    c_{k,2} = 6 log(2/delta~_k) and u_{j,k} = c_{k,1} / (nu_lower0_k D_{j,k})
-    over sorted ranks with gaps D_{j,k} = 1/nu_j - 1/nu_k:
-
-        1 + sum_{k<=ell} c_{k,1} eta_k (1 + log n)
-        + [ell < K] ( sum_{k>=ell+2} c_{k,2} / (nu_lower0_k D_{ell+1,k})
-                      + sum_{k<=ell+1} c_{k,1} eta_k (1 + log n)
-                      + sum_{k>=ell+2} c_{k,1} eta_k (1 + log u_{ell+1,k})
-                      + sum_{k>=ell+1} c_{k,1} eta_k (1 + log u_{ell,k}) )
-
-    Returns +inf whenever a divided-by gap is non-positive or refers to a
-    rank below 1 (ties or ell = 0 make those terms undefined).
-    """
-    K = instance.num_jobs
-    if len(initial_lower_bounds) != K:
-        raise ValueError(f"expected {K} initial lower bounds, got {len(initial_lower_bounds)}")
-    profile = optimal_profile(instance)
-    ell = profile.ell
-    order = profile.sort_order
-    delta = default_delta(n, K)
-    log_n = math.log(n)
-
-    nu_sorted = [instance.nus[k] for k in order]
-    lb_sorted = [float(initial_lower_bounds[k]) for k in order]
-    eta = [
-        (1.0 if nu is None else min(1.0, nu)) / lb for nu, lb in zip(nu_sorted, lb_sorted)
-    ]
-    c1 = [27.0 * math.log(2.0 * 48.0 * e**4 * float(n) ** 6 / delta) for e in eta]
-    c2 = [v * 6.0 / 27.0 for v in c1]
-
-    total = 1.0 + sum(c1[k] * eta[k] * (1.0 + log_n) for k in range(ell))
-    if ell == K:
-        return total
-
-    def gap(j: int, k: int) -> float:
-        if j < 1:
-            return -math.inf
-        return profile.gap(j, k)
-
-    bracket = 0.0
-    for k in range(ell + 2, K + 1):
-        d = gap(ell + 1, k)
-        if d <= 0.0:
-            return math.inf
-        bracket += c2[k - 1] / (lb_sorted[k - 1] * d)
-    for k in range(1, ell + 2):
-        bracket += c1[k - 1] * eta[k - 1] * (1.0 + log_n)
-    for k in range(ell + 2, K + 1):
-        d = gap(ell + 1, k)
-        if d <= 0.0:
-            return math.inf
-        u = c1[k - 1] / (lb_sorted[k - 1] * d)
-        bracket += c1[k - 1] * eta[k - 1] * (1.0 + math.log(u))
-    for k in range(ell + 1, K + 1):
-        d = gap(ell, k)
-        if d <= 0.0:
-            return math.inf
-        u = c1[k - 1] / (lb_sorted[k - 1] * d)
-        bracket += c1[k - 1] * eta[k - 1] * (1.0 + math.log(u))
-    return total + bracket

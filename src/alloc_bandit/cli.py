@@ -145,8 +145,6 @@ def _cmd_minimax(args) -> int:
 
 def _cmd_init_stats(args) -> int:
     nu = None if args.nu.lower() in ("inf", "null", "none") else float(args.nu)
-    if nu is not None and not nu > 0:
-        raise SystemExit(f"error: --nu must be positive, got {args.nu}")
     rng = split_rng(args.seed)
     etas = np.empty(args.reps)
     steps = np.empty(args.reps, dtype=np.int64)

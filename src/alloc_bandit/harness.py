@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .allocator import PolicyOptions, atomic_write_text, run_episode
 from .initialization import run_modified
-from .model import ProblemInstance
+from .model import ProblemInstance, _check_keys, _integer
 
 WORKERS_ENV = "ALLOC_BANDIT_THREADS"
 
@@ -72,11 +71,6 @@ class ExperimentConfig:
         object.__setattr__(self, "arms", tuple(self.arms))
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
-        if not self.nus:
-            raise ValueError("nus must hold at least one difficulty")
-        for i, nu in enumerate(self.nus):
-            if nu is not None and not (nu > 0 and math.isfinite(nu)):
-                raise ValueError(f"nus[{i}] must be positive and finite (or null), got {nu!r}")
         for name in ("replications", "horizon", "base_seed"):
             value = getattr(self, name)
             if value is not None:
@@ -95,23 +89,19 @@ class ExperimentConfig:
                     f"arm {arm.name!r}: expected {len(self.nus)} lower bounds, "
                     f"got {len(arm.lower_bounds)}"
                 )
-        if self.sweep == "horizon":
-            for value in self.grid:
-                if not (value.is_integer() and value >= 1):
-                    raise ValueError(
-                        f"horizon grid entries must be integers >= 1, got {value!r}"
-                    )
-        else:
+        if self.sweep != "horizon":
             idx = self._sweep_index()
+            # The configured difficulties, horizon and seed must make an
+            # instance before the swept job's entry is replaced.
+            ProblemInstance(self.nus, self.horizon, self.base_seed)
             if not (1 <= idx <= len(self.nus)):
                 raise ValueError(f"sweep index {idx} out of range for {len(self.nus)} jobs")
-            for value in self.grid:
-                if not (value > 0 and math.isfinite(value)):
-                    raise ValueError(
-                        f"difficulty grid entries must be positive and finite, got {value!r}"
-                    )
-            if self.horizon is None or self.horizon < 1:
-                raise ValueError(f"horizon must be >= 1 for a difficulty sweep, got {self.horizon}")
+        # ProblemInstance owns the instance rules; every grid point must pass them.
+        for point, value in enumerate(self.grid):
+            try:
+                self.instance_at(point)
+            except ValueError as exc:
+                raise ValueError(f"grid[{point}] = {value!r}: {exc}") from None
 
     def _sweep_index(self) -> int:
         if not self.sweep.startswith("nu"):
@@ -126,7 +116,7 @@ class ExperimentConfig:
         split per replication at run time)."""
         value = self.grid[point]
         if self.sweep == "horizon":
-            return ProblemInstance(self.nus, int(value), self.base_seed)
+            return ProblemInstance(self.nus, value, self.base_seed)
         nus = list(self.nus)
         nus[self._sweep_index() - 1] = value
         return ProblemInstance(tuple(nus), self.horizon, self.base_seed)
@@ -136,36 +126,22 @@ class ExperimentConfig:
         """Parse a JSON config; keys are the field names of this class and,
         per arm, of ArmSpec. Unknown and missing required keys are rejected."""
         doc = json.loads(text)
-        _check_keys(doc, cls, "config")
+        _check_fields(doc, cls, "config")
         if "arms" in doc:
             if not isinstance(doc["arms"], list):
                 raise ValueError(f"arms must be a list of arm objects, got {doc['arms']!r}")
             for arm in doc["arms"]:
-                _check_keys(arm, ArmSpec, "arm")
+                _check_fields(arm, ArmSpec, "arm")
             doc["arms"] = [ArmSpec(**arm) for arm in doc["arms"]]
         return cls(**doc)
 
 
-def _check_keys(doc, cls, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
-    known = [f.name for f in fields(cls)]
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(known)}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in doc:
-            raise ValueError(f"{where} is missing required key {f.name!r}")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int: whole floats (2.0) convert, 2.5 and non-numbers
-    (bools and strings included) are rejected."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_fields(doc, cls, where: str) -> None:
+    """``_check_keys`` for a dataclass: keys are its field names, and a
+    field without a default is required."""
+    names = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    _check_keys(doc, where, names, required)
 
 
 @dataclass(frozen=True)
@@ -184,9 +160,6 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list
     finals: dict = field(default_factory=dict)
-
-    def finals_for(self, point: int, arm: str) -> np.ndarray:
-        return self.finals[(point, arm)]
 
 
 def _stream_seed(base_seed: int, point: int, arm: int, rep: int) -> int:
@@ -348,18 +321,3 @@ def _minimax_cell(args) -> float:
     instance, idx, rep, base_seed = args
     options = PolicyOptions(seed=_stream_seed(base_seed, idx, 0, rep))
     return run_modified(instance, options).final_regret
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    n_boot: int = 10_000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> tuple:
-    """Percentile bootstrap interval for the mean."""
-    arr = np.asarray(values, dtype=float)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(arr), size=(n_boot, len(arr)))
-    means = arr[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
-    return float(lo), float(hi)

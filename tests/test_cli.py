@@ -50,6 +50,19 @@ class TestRunCommand:
         assert result.returncode == 0, result.stderr
         assert "n=50 K=2" in result.stdout
 
+    def test_instance_config_rejects_unknown_keys_and_fractions(self, tmp_path):
+        config = tmp_path / "instance.json"
+        doc = {"nus": [0.4, 0.6], "horizon": 99.7, "seed": 2.9, "horizn": 5}
+        config.write_text(json.dumps(doc))
+        result = invoke("run", "--config", str(config))
+        assert result.returncode == 1
+        assert "'horizn'" in result.stderr
+        del doc["horizn"]
+        config.write_text(json.dumps(doc))
+        result = invoke("run", "--config", str(config))
+        assert result.returncode == 1
+        assert "horizon must be an integer, got 99.7" in result.stderr
+
     def test_nus_and_config_mutually_exclusive(self, tmp_path):
         config = tmp_path / "instance.json"
         config.write_text(json.dumps({"nus": [0.5], "horizon": 5, "seed": 0}))

@@ -10,13 +10,13 @@ from alloc_bandit.harness import (
     ArmSpec,
     ExperimentConfig,
     _stream_seed,
-    bootstrap_ci,
     emit_csv,
     minimax_family,
     minimax_stress,
     run_experiment,
 )
 from alloc_bandit.model import optimal_profile
+from reference import bootstrap_ci
 
 
 def small_config(**overrides):
@@ -184,7 +184,7 @@ class TestConfig:
 
     def test_difficulty_sweep_needs_a_horizon(self):
         doc = {"experiment_id": "x", "nus": [0.4, 0.6], "sweep": "nu2", "grid": [0.5]}
-        with pytest.raises(ValueError, match="horizon must be >= 1"):
+        with pytest.raises(ValueError, match="horizon must be an integer, got None"):
             ExperimentConfig.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
@@ -206,6 +206,18 @@ class TestConfig:
         doc = {"experiment_id": "x", "nus": [0.4, 0.6], "sweep": "nu2", "grid": [0.5],
                "horizon": 100}
         doc.update(overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected_at_construction(self, seed):
+        message = f"base_seed must lie in [0, 2**64), got {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(base_seed=seed)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(sweep="horizon", grid=(20, 30), base_seed=seed)
+        doc = {"experiment_id": "x", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [100],
+               "base_seed": seed}
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_json(json.dumps(doc))
 
@@ -231,7 +243,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [-0.5, 0.0, float("inf")])
     def test_difficulty_grid_entries_must_be_positive_and_finite(self, value):
-        with pytest.raises(ValueError, match=f"difficulty grid entries .*got {value!r}"):
+        with pytest.raises(ValueError, match=re.escape(f"grid[1] = {value!r}: nus[1] must be positive")):
             small_config(grid=(0.6, value))
 
 
@@ -265,7 +277,7 @@ class TestRunExperiment:
             (0.6, "a"), (0.6, "b"), (0.9, "a"), (0.9, "b"),
         ]
         for row in result.rows:
-            finals = result.finals_for(result.rows.index(row) // 2, row.arm)
+            finals = result.finals[(result.rows.index(row) // 2, row.arm)]
             assert row.mean_regret == pytest.approx(float(np.mean(finals)))
             assert row.stderr == pytest.approx(
                 float(np.std(finals, ddof=1) / math.sqrt(len(finals)))

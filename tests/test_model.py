@@ -1,11 +1,20 @@
+import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alloc_bandit.model import Allocation, ProblemInstance, optimal_profile, split_rng
-from reference import beta, brute_force_optimal, instantaneous_regret, sample_step
+from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
+from reference import (
+    Allocation,
+    beta,
+    brute_force_optimal,
+    instantaneous_regret,
+    rank_gap,
+    sample_step,
+)
 
 nus_lists = st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4)
 
@@ -40,6 +49,28 @@ class TestInstance:
         with pytest.raises(ValueError):
             ProblemInstance((0.5,), 0)
 
+    @pytest.mark.parametrize("horizon", [99.7, True, "3", None, float("inf")])
+    def test_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValueError, match=f"horizon must be an integer, got {horizon!r}"):
+            ProblemInstance((0.4,), horizon)
+
+    def test_whole_float_horizon_and_seed_convert(self):
+        inst = ProblemInstance((0.4,), 4.0, 7.0)
+        assert (inst.horizon, inst.base_seed) == (4, 7)
+        assert type(inst.horizon) is int and type(inst.base_seed) is int
+        assert inst.to_json() == ProblemInstance((0.4,), 4, 7).to_json()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "0"])
+    def test_base_seed_range(self, seed):
+        with pytest.raises(ValueError, match="base_seed must"):
+            ProblemInstance((0.4,), 10, seed)
+        assert ProblemInstance((0.4,), 10, 2**64 - 1).base_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("nu", [-0.4, 0.0, float("inf"), float("nan"), "0.4", True])
+    def test_bad_difficulty_named_by_index(self, nu):
+        with pytest.raises(ValueError, match=rf"nus\[1\] must be positive and finite"):
+            ProblemInstance((0.4, nu, 0.6), 10)
+
     def test_unbounded_reciprocal_zero(self):
         inst = make_instance([0.5, None])
         assert inst.recips == (2.0, 0.0)
@@ -51,18 +82,41 @@ class TestInstance:
         doc = json.loads(inst.to_json())
         assert doc == {"nus": [0.4, None, 2.0], "horizon": 1000, "seed": 12345}
 
+    def test_json_digest_bytes_unchanged(self):
+        inst = ProblemInstance((0.4, None, 2.0), 1000, 12345)
+        assert inst.to_json() == '{"nus": [0.4, null, 2.0], "horizon": 1000, "seed": 12345}'
+        assert inst.digest() == hashlib.sha256(inst.to_json().encode()).hexdigest()[:16]
+        assert ProblemInstance.from_json('{"nus": [0.4], "horizon": 5}').base_seed == 0
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"nus": [0.4, 0.6], "horizon": 99, "seed": 2, "horizn": 5}, "unknown instance key 'horizn'"),
+            ({"nus": [0.4, 0.6], "seed": 2}, "instance is missing required key 'horizon'"),
+            ({"horizon": 99}, "instance is missing required key 'nus'"),
+            ({"nus": [0.4, 0.6], "horizon": 99.7}, "horizon must be an integer, got 99.7"),
+            ({"nus": [0.4, 0.6], "horizon": 99, "seed": 2.9}, "base_seed must be an integer, got 2.9"),
+            ({"nus": [0.4, 0.6], "horizon": 99, "seed": -1}, "base_seed must lie in [0, 2**64), got -1"),
+            ({"nus": 0.4, "horizon": 99}, "nus must be a list of difficulties, got 0.4"),
+            ([0.4, 0.6], "instance must be a JSON object"),
+        ],
+    )
+    def test_from_json_rejects_bad_documents(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProblemInstance.from_json(json.dumps(doc))
+
 
 class TestOptimalProfile:
     def test_budget_covers_all(self):
         prof = optimal_profile(make_instance([0.4, 0.6]))
-        assert prof.m_star.m == (0.4, 0.6)
+        assert prof.m_star == (0.4, 0.6)
         assert prof.ell == 2
         assert prof.s_star == 0.0
         assert prof.rho_star == 2.0
 
     def test_single_over_budget_job(self):
         prof = optimal_profile(make_instance([2.0]))
-        assert prof.m_star.m == (1.0,)
+        assert prof.m_star == (1.0,)
         assert prof.ell == 0
         assert prof.s_star == 1.0
         assert prof.rho_star == pytest.approx(0.5)
@@ -70,7 +124,7 @@ class TestOptimalProfile:
     def test_three_jobs_with_overflow(self):
         inst = make_instance([0.4, 0.9, 2.0])
         prof = optimal_profile(inst)
-        assert prof.m_star.m == (0.4, 0.6, 0.0)
+        assert prof.m_star == (0.4, 0.6, 0.0)
         assert prof.ell == 1
         assert prof.s_star == pytest.approx(0.6)
         assert prof.rho_star == pytest.approx(1.0 + 0.6 / 0.9)
@@ -80,28 +134,29 @@ class TestOptimalProfile:
 
     def test_unsorted_input(self):
         prof = optimal_profile(make_instance([0.9, 0.4, 2.0]))
-        assert prof.m_star.m == (0.6, 0.4, 0.0)
+        assert prof.m_star == (0.6, 0.4, 0.0)
         assert prof.sort_order == (1, 0, 2)
         assert prof.ell == 1
 
     def test_unbounded_job_gets_leftover_but_no_reward(self):
         prof = optimal_profile(make_instance([0.4, None]))
-        assert prof.m_star.m == (0.4, 0.6)
+        assert prof.m_star == (0.4, 0.6)
         assert prof.ell == 1
         assert prof.rho_star == 1.0
 
     def test_gap_table(self):
-        prof = optimal_profile(make_instance([0.4, 0.9, 2.0]))
-        assert prof.gap(1, 2) == pytest.approx(1 / 0.4 - 1 / 0.9)
-        assert prof.gap(1, 3) == pytest.approx(1 / 0.4 - 1 / 2.0)
-        assert prof.gap(2, 2) == 0.0
+        inst = make_instance([0.4, 0.9, 2.0])
+        prof = optimal_profile(inst)
+        assert rank_gap(inst, prof, 1, 2) == pytest.approx(1 / 0.4 - 1 / 0.9)
+        assert rank_gap(inst, prof, 1, 3) == pytest.approx(1 / 0.4 - 1 / 2.0)
+        assert rank_gap(inst, prof, 2, 2) == 0.0
         with pytest.raises(IndexError):
-            prof.gap(0, 1)
+            rank_gap(inst, prof, 0, 1)
 
     @given(nus_lists)
     def test_budget_exhausted_whenever_useful(self, nus):
         prof = optimal_profile(make_instance(nus))
-        total = sum(prof.m_star.m)
+        total = sum(prof.m_star)
         assert total <= 1.0 + 1e-9
         ell = prof.ell
         ordered = sorted(nus)
@@ -121,7 +176,7 @@ class TestOptimalProfile:
         assert shuffled.s_star == pytest.approx(base.s_star, abs=1e-12)
         assert shuffled.rho_star == pytest.approx(base.rho_star, abs=1e-12)
         for i, p in enumerate(perm):
-            assert shuffled.m_star.m[i] == pytest.approx(base.m_star.m[p], abs=1e-12)
+            assert shuffled.m_star[i] == pytest.approx(base.m_star[p], abs=1e-12)
 
 
 class TestBruteForce:
