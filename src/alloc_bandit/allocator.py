@@ -12,11 +12,21 @@ The episode loop keeps that fill order as a sorted list of
 ``(nu_lower, k)`` across steps. Only the first few jobs in it receive
 resources, so a step fills, samples and updates just those jobs (plus any
 running halving probes) and re-sorts only the jobs whose lower bound moved;
-everyone else's allocation and outcome stay 0 in the trace.
+everyone else's allocation and outcome stay 0 in the trace. The fill itself
+is reused: it is recomputed only on a step where a probe runs or the
+previous step changed the fill order, since otherwise it would come out
+the same.
+
+How much of an episode is kept is one recording level (``PolicyOptions.
+record``): ``"final"`` keeps only the final cumulative regret and the
+estimators, which is all a Monte-Carlo cell needs; ``"steps"`` adds the
+per-step allocations, outcomes and regrets a trace CSV is written from;
+``"intervals"`` adds the per-step confidence intervals.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import tempfile
 from array import array
@@ -42,55 +52,64 @@ _CSV_BLOCK = 4096
 # meaningless at double precision.
 MAX_HALVING_STEPS = 64
 
+RECORD_LEVELS = ("final", "steps", "intervals")
+
 
 @dataclass(frozen=True)
 class PolicyOptions:
-    """Knobs for one episode: estimator mode, confidence override, interval
-    recording, and the stream index used to derive the episode RNG."""
+    """Knobs for one episode: estimator mode, confidence override, recording
+    level (one of ``RECORD_LEVELS``) and the stream index used to derive
+    the episode RNG."""
 
     mode: str = "weighted"
     delta_override: Optional[float] = None
-    record_intervals: bool = False
+    record: str = "steps"
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.delta_override is not None and not (0.0 < self.delta_override < 1.0):
+        if self.record not in RECORD_LEVELS:
+            raise ValueError(f"record must be one of {RECORD_LEVELS}, got {self.record!r}")
+        delta = self.delta_override
+        if delta is not None and not (isinstance(delta, numbers.Real) and 0.0 < delta < 1.0):
             raise ValueError(f"delta_override must lie in (0, 1), got {self.delta_override}")
 
 
 @dataclass
 class RunTrace:
-    """Full record of one episode.
+    """Record of one episode at its recording level.
 
-    ``allocations[t]`` is the realized per-job allocation at step t+1
-    (including any initializer consumption for the self-initializing
-    runner), ``observations[t]`` the outcomes, ``regrets[t]`` the per-step
-    pseudo-regret and ``cum_regrets`` its running sum. ``lower_recips`` /
-    ``upper_recips`` hold post-update interval snapshots when recorded
-    (0.0 marks a job whose estimator does not exist yet).
+    ``final_regret`` is the cumulative pseudo-regret after the last step and
+    ``estimators`` the final per-job states, at every level. From level
+    ``"steps"`` on, ``allocations[t]`` is the realized per-job allocation at
+    step t+1 (including any initializer consumption for the
+    self-initializing runner), ``observations[t]`` the outcomes,
+    ``regrets[t]`` the per-step pseudo-regret and ``cum_regrets`` its
+    running sum; at ``"final"`` they are None. ``lower_recips`` /
+    ``upper_recips`` hold post-update interval snapshots at level
+    ``"intervals"`` (0.0 marks a job whose estimator does not exist yet).
     """
 
-    allocations: np.ndarray
-    observations: np.ndarray
-    regrets: np.ndarray
-    cum_regrets: np.ndarray
     estimators: list
     metadata: dict
+    final_regret: float
+    allocations: Optional[np.ndarray] = None
+    observations: Optional[np.ndarray] = None
+    regrets: Optional[np.ndarray] = None
+    cum_regrets: Optional[np.ndarray] = None
     lower_recips: Optional[np.ndarray] = None
     upper_recips: Optional[np.ndarray] = None
-
-    @property
-    def final_regret(self) -> float:
-        return float(self.cum_regrets[-1])
 
     def to_csv(self, path: str) -> None:
         """Write one row per step: t, M_k, X_k, r_t, cumregret[, L_k, U_k].
 
         Written atomically (temp file + rename); floats use shortest
-        round-trip decimals so re-emission is byte-identical.
+        round-trip decimals so re-emission is byte-identical. A trace
+        recorded at level ``"final"`` has no rows and is rejected.
         """
+        if self.allocations is None:
+            raise ValueError("a trace recorded at level 'final' has no per-step rows")
         atomic_write_text(path, self._csv_text())
 
     def _csv_text(self) -> str:
@@ -193,8 +212,9 @@ def _simulate(
     draw of its step, so the stream is the one per-step sampling of every
     job would consume; a job given nothing would draw X = 0 regardless.
 
-    Returns the trace and, per job, ``(steps_used, capped)`` of its finished
-    probe (None for a job whose probe never finished or never ran).
+    Returns the trace, recorded at the level ``options.record`` names, and,
+    per job, ``(steps_used, capped)`` of its finished probe (None for a job
+    whose probe never finished or never ran).
     """
     K = instance.num_jobs
     n = instance.horizon
@@ -203,49 +223,58 @@ def _simulate(
     recips = instance.recips
     rho_star = profile.rho_star
     probing = lower_bounds is None
-    record = options.record_intervals
+    steps = options.record != "final"
+    intervals = options.record == "intervals"
 
     def build(nu_lower0: float) -> EstimatorState:
         return EstimatorState(nu_lower0, delta, weighted=weighted)
 
     states = [None] * K if probing else [build(v) for v in lower_bounds]
     # The fill order: (1 / lower_recip, k) of every job with an estimator,
-    # sorted. Only an update that moves a job's lower bound re-keys it.
+    # sorted. Only an update that moves a job's lower bound re-keys it, and
+    # every re-keying sets ``stale``: without it and without a running probe,
+    # the fill equals the previous step's and ``touched`` is kept.
     order = sorted((1.0 / s.lower_recip, k) for k, s in enumerate(states) if s is not None)
+    stale = True
+    touched: list = []
     probe_ends = [None] * K
     probes: list = []  # jobs whose probe is running, in job order
 
-    # Flat step-major n x K buffers, allocated once and zero until written:
-    # a job that gets no resources at a step keeps M = 0 and X = 0 there.
-    allocations = array("d", [0.0]) * (n * K)
-    observations = array("B", [0]) * (n * K)
-    regrets = array("d", [0.0]) * n
-    if record:
+    if steps:
+        # Flat step-major n x K buffers, allocated once and zero until
+        # written: a job that gets no resources at a step keeps M = 0 and
+        # X = 0 there.
+        allocations = array("d", [0.0]) * (n * K)
+        observations = array("B", [0]) * (n * K)
+        regrets = array("d", [0.0]) * n
+    if intervals:
         # Current interval row (0.0 for a job without an estimator), copied
         # into the history every step and changed only where a job changed.
         lower_row = array("d", [0.0 if s is None else s.lower_recip for s in states])
         upper_row = array("d", [0.0]) * K
         lower_hist = array("d", [0.0]) * (n * K)
         upper_hist = array("d", [0.0]) * (n * K)
-    else:
-        lower_hist = upper_hist = None
 
     # A step reads only the draws of the jobs it touches, so the block stays
     # a float64 buffer instead of becoming one Python float per draw.
     draws = memoryview(b"")
     pos = 0
+    # Summed one step at a time, as np.cumsum sums the per-step regrets.
+    cum = 0.0
     for t in range(n):
         if probing and t < K:
             probes.append(t)
-        probe_total = 0.0
-        for k in probes:
-            probe_total += 2.0 ** (k - t - 1)
-        touched = _allocate_raw(order, 1.0 - probe_total)
-        for k in probes:
-            touched.append((k, 2.0 ** (k - t - 1)))
-        # Visit in job order, as sampling every job would: that fixes the
-        # order in which rewards are summed.
-        touched.sort()
+        if probes or stale:
+            probe_total = 0.0
+            for k in probes:
+                probe_total += 2.0 ** (k - t - 1)
+            touched = _allocate_raw(order, 1.0 - probe_total)
+            for k in probes:
+                touched.append((k, 2.0 ** (k - t - 1)))
+            # Visit in job order, as sampling every job would: that fixes the
+            # order in which rewards are summed.
+            touched.sort()
+            stale = False
 
         if pos >= len(draws):
             draws = memoryview(rng.random(_DRAW_BLOCK * K))
@@ -255,8 +284,9 @@ def _simulate(
         for k, mk in touched:
             p = mk * recips[k]
             x = 1 if draws[pos + k] < p else 0
-            allocations[base + k] = mk
-            observations[base + k] = x
+            if steps:
+                allocations[base + k] = mk
+                observations[base + k] = x
             if not mk > 0.0:
                 continue
             reward += p if p < 1.0 else 1.0
@@ -269,26 +299,28 @@ def _simulate(
                 s = states[k] = build(2.0**-local)
                 probe_ends[k] = (local, x == 1)
                 insort(order, (1.0 / s.lower_recip, k))
+                stale = True
             else:
                 lower_prev = s.lower_recip
                 s.update(mk, x)
                 if s.lower_recip != lower_prev:
                     del order[bisect_left(order, (1.0 / lower_prev, k))]
                     insort(order, (1.0 / s.lower_recip, k))
-            if record:
+                    stale = True
+            if intervals:
                 lower_row[k] = s.lower_recip
                 upper_row[k] = s.upper_recip
         # Every step consumes K draws, one per job in job order.
         pos += K
         if probes:
             probes = [k for k in probes if states[k] is None]
-        regrets[t] = rho_star - reward
-        if record:
+        regret = rho_star - reward
+        cum += regret
+        if steps:
+            regrets[t] = regret
+        if intervals:
             lower_hist[base : base + K] = lower_row
             upper_hist[base : base + K] = upper_row
-
-    def rows(buf, dtype=np.float64):
-        return None if buf is None else np.frombuffer(buf, dtype).reshape(n, K)
 
     metadata = {
         "instance": instance.digest(),
@@ -299,17 +331,16 @@ def _simulate(
         "mode": options.mode,
         "delta": delta,
     }
-    regrets = np.frombuffer(regrets)
-    return RunTrace(
-        allocations=rows(allocations),
-        observations=rows(observations, np.uint8),
-        regrets=regrets,
-        cum_regrets=np.cumsum(regrets),
-        estimators=states,
-        metadata=metadata,
-        lower_recips=rows(lower_hist),
-        upper_recips=rows(upper_hist),
-    ), probe_ends
+    trace = RunTrace(estimators=states, metadata=metadata, final_regret=cum)
+    if steps:
+        trace.allocations = np.frombuffer(allocations).reshape(n, K)
+        trace.observations = np.frombuffer(observations, np.uint8).reshape(n, K)
+        trace.regrets = np.frombuffer(regrets)
+        trace.cum_regrets = np.cumsum(trace.regrets)
+    if intervals:
+        trace.lower_recips = np.frombuffer(lower_hist).reshape(n, K)
+        trace.upper_recips = np.frombuffer(upper_hist).reshape(n, K)
+    return trace, probe_ends
 
 
 def run_episode(

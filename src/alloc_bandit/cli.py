@@ -5,6 +5,8 @@ Subcommands: ``run`` (single episode, trace CSV), ``experiment``
 (worst-case stress over the hardest instance family) and ``init-stats``
 (halving-probe statistics). Human-readable summaries go to stdout,
 machine artifacts only to files, errors to stderr with a nonzero exit.
+``experiment`` also prints one estimator-health line to stderr, so the
+stdout summary and the CSV stay as they were.
 The ALLOC_BANDIT_THREADS environment variable caps worker parallelism
 (0 = auto).
 """
@@ -98,7 +100,7 @@ def _cmd_run(args) -> int:
         instance = ProblemInstance(args.nus, args.horizon, args.seed if args.seed is not None else 0)
     options = PolicyOptions(
         mode=args.mode,
-        record_intervals=args.snapshot_intervals,
+        record="intervals" if args.snapshot_intervals else "steps",
     )
     if args.lower_bounds is None:
         trace = run_modified(instance, options)
@@ -130,6 +132,12 @@ def _cmd_experiment(args) -> int:
         f"{len(config.arms)} arms x {config.replications} reps, "
         f"mean final regret {overall:.6g}" + (f" wrote={out}" if out else "")
     )
+    failures, capped, collapsed = map(sum, zip(*result.health.values()))
+    print(
+        f"health: {len(config.grid) * len(config.arms) * config.replications} cells, "
+        f"coverage_failures={failures} weight_capped={capped} collapsed={collapsed}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -144,6 +152,8 @@ def _cmd_minimax(args) -> int:
 
 
 def _cmd_init_stats(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     nu = None if args.nu.lower() in ("inf", "null", "none") else float(args.nu)
     rng = split_rng(args.seed)
     etas = np.empty(args.reps)

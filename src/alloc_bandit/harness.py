@@ -38,12 +38,29 @@ class ArmSpec:
     delta_override: Optional[float] = None
 
     def __post_init__(self):
-        if self.lower_bounds is not None:
-            object.__setattr__(self, "lower_bounds", tuple(float(v) for v in self.lower_bounds))
         try:
+            if self.lower_bounds is not None:
+                bounds = _floats("lower_bounds", self.lower_bounds)
+                for i, bound in enumerate(bounds):
+                    if not (bound > 0 and math.isfinite(bound)):
+                        raise ValueError(
+                            f"lower_bounds[{i}] must be positive and finite, got {bound!r}"
+                        )
+                object.__setattr__(self, "lower_bounds", bounds)
             PolicyOptions(mode=self.mode, delta_override=self.delta_override)
         except ValueError as exc:
             raise ValueError(f"arm {self.name!r}: {exc}") from None
+
+
+def _floats(name: str, values) -> tuple:
+    """``values`` as a tuple of floats; anything but a list of numbers is
+    rejected with an error naming the field."""
+    if not isinstance(values, str):
+        try:
+            return tuple(float(v) for v in values)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a list of numbers, got {values!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -66,11 +83,14 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "nus", tuple(self.nus))
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        # ProblemInstance owns the difficulty rules.
+        object.__setattr__(self, "nus", ProblemInstance(self.nus, 1).nus)
+        object.__setattr__(self, "grid", _floats("grid", self.grid))
         object.__setattr__(self, "arms", tuple(self.arms))
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         for name in ("replications", "horizon", "base_seed"):
             value = getattr(self, name)
             if value is not None:
@@ -104,7 +124,7 @@ class ExperimentConfig:
                 raise ValueError(f"grid[{point}] = {value!r}: {exc}") from None
 
     def _sweep_index(self) -> int:
-        if not self.sweep.startswith("nu"):
+        if not (isinstance(self.sweep, str) and self.sweep.startswith("nu")):
             raise ValueError(f"sweep must be 'horizon' or 'nu<j>', got {self.sweep!r}")
         try:
             return int(self.sweep[2:])
@@ -155,11 +175,18 @@ class PointStats:
 
 @dataclass
 class ExperimentResult:
-    """Aggregated sweep output plus per-replication finals for resampling."""
+    """Aggregated sweep output plus per-replication finals for resampling.
+
+    ``health[(point, arm name)]`` is ``(coverage_failures, weight_capped,
+    collapsed)`` summed over that pair's replications: the number of jobs
+    whose final interval misses the job's true reciprocal difficulty, whose
+    estimator hit the weight cap, and whose interval collapsed.
+    """
 
     config: ExperimentConfig
     rows: list
     finals: dict = field(default_factory=dict)
+    health: dict = field(default_factory=dict)
 
 
 def _stream_seed(base_seed: int, point: int, arm: int, rep: int) -> int:
@@ -168,20 +195,36 @@ def _stream_seed(base_seed: int, point: int, arm: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_cell(args) -> float:
+def _cell_record(trace, instance: ProblemInstance) -> tuple:
+    """``(final_regret, coverage_failures, weight_capped, collapsed)`` of one
+    cell; the counts are over the jobs that have an estimator. A coverage
+    failure is a final interval that misses the job's true reciprocal
+    difficulty (0 for an unbounded job)."""
+    failures = capped = collapsed = 0
+    for state, recip in zip(trace.estimators, instance.recips):
+        if state is None:
+            continue
+        failures += state.lower_recip < recip or state.upper_recip > recip
+        capped += state.weight_capped
+        collapsed += state.collapsed
+    return trace.final_regret, failures, capped, collapsed
+
+
+def _run_cell(args) -> tuple:
     config, point, arm_index, rep = args
     arm = config.arms[arm_index]
     instance = config.instance_at(point)
     options = PolicyOptions(
         mode=arm.mode,
         delta_override=arm.delta_override,
+        record="final",
         seed=_stream_seed(config.base_seed, point, arm_index, rep),
     )
     if arm.lower_bounds is None:
         trace = run_modified(instance, options)
     else:
         trace = run_episode(instance, arm.lower_bounds, options)
-    return trace.final_regret
+    return _cell_record(trace, instance)
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
@@ -226,8 +269,9 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> E
     reps = config.replications
     for point in range(len(config.grid)):
         for arm_index, arm in enumerate(config.arms):
-            finals = np.asarray(outcomes[cursor : cursor + reps])
+            regrets, *counts = zip(*outcomes[cursor : cursor + reps])
             cursor += reps
+            finals = np.asarray(regrets)
             mean = float(np.mean(finals))
             stderr = float(np.std(finals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
             result.rows.append(
@@ -240,6 +284,7 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> E
                 )
             )
             result.finals[(point, arm.name)] = finals
+            result.health[(point, arm.name)] = tuple(map(sum, counts))
     return result
 
 
@@ -293,6 +338,8 @@ def minimax_stress(
     """Empirical worst case over the minimax family: the self-initializing
     policy's mean regret, maximized over family members, and its ratio to
     sqrt(nK)."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     family = minimax_family(n, num_jobs, base_seed)
     tasks = [
         (family[idx], idx, rep, base_seed)
@@ -303,7 +350,7 @@ def minimax_stress(
     means = []
     cursor = 0
     for _ in family:
-        finals = outcomes[cursor : cursor + reps]
+        finals = [cell[0] for cell in outcomes[cursor : cursor + reps]]
         cursor += reps
         means.append(float(np.mean(finals)))
     sup = max(means)
@@ -317,7 +364,7 @@ def minimax_stress(
     )
 
 
-def _minimax_cell(args) -> float:
+def _minimax_cell(args) -> tuple:
     instance, idx, rep, base_seed = args
-    options = PolicyOptions(seed=_stream_seed(base_seed, idx, 0, rep))
-    return run_modified(instance, options).final_regret
+    options = PolicyOptions(record="final", seed=_stream_seed(base_seed, idx, 0, rep))
+    return _cell_record(run_modified(instance, options), instance)

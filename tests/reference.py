@@ -296,15 +296,17 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
         "delta": delta,
     }
     regrets = np.array(regrets, dtype=np.float64)
+    cum_regrets = np.cumsum(regrets)
     return RunTrace(
         allocations=rows(allocations),
         observations=rows(observations, np.uint8),
         regrets=regrets,
-        cum_regrets=np.cumsum(regrets),
+        cum_regrets=cum_regrets,
+        final_regret=float(cum_regrets[-1]),
         estimators=states,
         metadata=metadata,
-        lower_recips=rows(lower_hist) if options.record_intervals else None,
-        upper_recips=rows(upper_hist) if options.record_intervals else None,
+        lower_recips=rows(lower_hist) if options.record == "intervals" else None,
+        upper_recips=rows(upper_hist) if options.record == "intervals" else None,
     ), probe_ends
 
 

@@ -89,7 +89,7 @@ def run_coverage_batch(delta: float) -> dict:
     exits = 0
     violations = []
     inst = ProblemInstance((COV_NU,), COV_N, 20001)
-    options_base = dict(delta_override=delta, record_intervals=True)
+    options_base = dict(delta_override=delta, record="intervals")
     for rep in range(COV_REPS):
         trace = run_episode(
             inst, [COV_LOWER0], PolicyOptions(seed=rep, **options_base)

@@ -108,7 +108,7 @@ class TestRunEpisode:
 
     def test_deterministic_given_seed(self):
         inst = ProblemInstance((0.4, 0.6), 500, 11)
-        opts = PolicyOptions(record_intervals=True, seed=4)
+        opts = PolicyOptions(record="intervals", seed=4)
         a = run_episode(inst, [0.2, 0.3], opts)
         b = run_episode(inst, [0.2, 0.3], opts)
         assert np.array_equal(a.allocations, b.allocations)
@@ -139,7 +139,7 @@ class TestRunEpisode:
 
     def test_allocation_never_exceeds_lower_bound(self):
         inst = ProblemInstance((0.4, 0.6, 2.5), 400, 8)
-        trace = run_episode(inst, [0.1, 0.2, 0.5], PolicyOptions(record_intervals=True))
+        trace = run_episode(inst, [0.1, 0.2, 0.5], PolicyOptions(record="intervals"))
         lower_prev = np.array([1 / 0.1, 1 / 0.2, 1 / 0.5])
         for t in range(inst.horizon):
             nu_lower_prev = 1.0 / lower_prev
@@ -151,7 +151,7 @@ class TestRunEpisode:
         # allocated at every step
         inst = ProblemInstance((0.3, 0.5, 0.9), 500, 5)
         profile = optimal_profile(inst)
-        trace = run_episode(inst, [0.15, 0.25, 0.45], PolicyOptions(record_intervals=True))
+        trace = run_episode(inst, [0.15, 0.25, 0.45], PolicyOptions(record="intervals"))
         recips = np.asarray(inst.recips)
         assert np.all(trace.lower_recips >= recips - 1e-12)  # coverage held
         nu_lower_prev = np.array([0.15, 0.25, 0.45])
@@ -286,7 +286,7 @@ class TestRegretUpperBound:
 class TestTraceCsv:
     def test_rows_and_round_trip(self, tmp_path):
         inst = ProblemInstance((0.4, 0.6), 25, 1)
-        trace = run_episode(inst, [0.2, 0.3], PolicyOptions(record_intervals=True))
+        trace = run_episode(inst, [0.2, 0.3], PolicyOptions(record="intervals"))
         path = tmp_path / "trace.csv"
         trace.to_csv(str(path))
         with open(path, newline="") as handle:

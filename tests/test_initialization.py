@@ -173,7 +173,7 @@ class TestRunModified:
 
     def test_deterministic(self):
         inst = ProblemInstance((0.4, 0.6), 800, 33)
-        opts = PolicyOptions(seed=2, record_intervals=True)
+        opts = PolicyOptions(seed=2, record="intervals")
         a = run_modified(inst, opts)
         b = run_modified(inst, opts)
         assert np.array_equal(a.allocations, b.allocations)

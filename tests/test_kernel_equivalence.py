@@ -80,7 +80,7 @@ def run_all(instance, lower_bounds, extra) -> list:
     out = []
     for mode in ("weighted", "unweighted"):
         for intervals in (False, True):
-            options = PolicyOptions(mode=mode, record_intervals=intervals, **extra)
+            options = PolicyOptions(mode=mode, record="intervals" if intervals else "steps", **extra)
             out.append(artifacts(run_episode(instance, lower_bounds, options)))
             out.append(artifacts(run_modified(instance, options)))
     return out

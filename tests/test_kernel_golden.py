@@ -85,7 +85,7 @@ def case_digests(name: str, runner: str, directory: str) -> dict:
     instance = ProblemInstance(nus, horizon, base_seed)
     out = {}
     for mode, intervals in VARIANTS:
-        options = PolicyOptions(mode=mode, record_intervals=intervals, **extra)
+        options = PolicyOptions(mode=mode, record="intervals" if intervals else "steps", **extra)
         if runner == "episode":
             trace = run_episode(instance, lower_bounds, options)
         else:

@@ -52,6 +52,7 @@ def hand_built_trace(n: int, K: int, intervals: bool, seed: int = 0) -> RunTrace
         observations=rng.integers(0, 2, size=(n, K), dtype=np.uint8),
         regrets=regrets,
         cum_regrets=cum_regrets,
+        final_regret=0.0,
         estimators=[None] * K,
         metadata={},
         lower_recips=block(K) if intervals else None,
