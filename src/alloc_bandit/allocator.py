@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimator import EstimatorState
-from .model import OptimalProfile, ProblemInstance, optimal_profile, split_rng
+from .model import OptimalProfile, ProblemInstance, _floats, optimal_profile, split_rng
 
 MODES = ("weighted", "unweighted")
 
@@ -195,7 +195,7 @@ def _simulate(
     profile: OptimalProfile,
     rng: np.random.Generator,
     lower_bounds: Optional[Sequence[float]],
-) -> tuple:
+) -> RunTrace:
     """The step loop behind both episode runners.
 
     With ``lower_bounds`` every estimator starts from its bound. With None,
@@ -212,9 +212,11 @@ def _simulate(
     draw of its step, so the stream is the one per-step sampling of every
     job would consume; a job given nothing would draw X = 0 regardless.
 
-    Returns the trace, recorded at the level ``options.record`` names, and,
-    per job, ``(steps_used, capped)`` of its finished probe (None for a job
-    whose probe never finished or never ran).
+    Returns the trace, recorded at the level ``options.record`` names. Its
+    metadata holds ``initial_lower_bounds`` or, for the probing runner,
+    ``init_records``: one dict per finished probe, in job order, with the
+    job, ``steps_used``, ``nu_lower0`` = 2^-steps_used, the per-step
+    ``consumption`` and ``capped`` (stopped by the guard, not a failure).
     """
     K = instance.num_jobs
     n = instance.horizon
@@ -237,7 +239,7 @@ def _simulate(
     order = sorted((1.0 / s.lower_recip, k) for k, s in enumerate(states) if s is not None)
     stale = True
     touched: list = []
-    probe_ends = [None] * K
+    records = [None] * K  # each job's probe record, once its probe ends
     probes: list = []  # jobs whose probe is running, in job order
 
     if steps:
@@ -296,8 +298,15 @@ def _simulate(
                 local = t + 1 - k
                 if x == 1 and local < MAX_HALVING_STEPS:
                     continue
-                s = states[k] = build(2.0**-local)
-                probe_ends[k] = (local, x == 1)
+                nu_lower0 = 2.0**-local
+                s = states[k] = build(nu_lower0)
+                records[k] = {
+                    "job": k,
+                    "steps_used": local,
+                    "nu_lower0": nu_lower0,
+                    "consumption": [2.0**-i for i in range(1, local + 1)],
+                    "capped": x == 1,
+                }
                 insort(order, (1.0 / s.lower_recip, k))
                 stale = True
             else:
@@ -331,6 +340,10 @@ def _simulate(
         "mode": options.mode,
         "delta": delta,
     }
+    if probing:
+        metadata["init_records"] = [r for r in records if r is not None]
+    else:
+        metadata["initial_lower_bounds"] = list(lower_bounds)
     trace = RunTrace(estimators=states, metadata=metadata, final_regret=cum)
     if steps:
         trace.allocations = np.frombuffer(allocations).reshape(n, K)
@@ -340,7 +353,7 @@ def _simulate(
     if intervals:
         trace.lower_recips = np.frombuffer(lower_hist).reshape(n, K)
         trace.upper_recips = np.frombuffer(upper_hist).reshape(n, K)
-    return trace, probe_ends
+    return trace
 
 
 def run_episode(
@@ -352,17 +365,14 @@ def run_episode(
     bounds 0 < nu_lower0_k <= nu_k.
 
     Violated initial bounds void the confidence guarantees but the runner
-    still executes; a bound that is not positive and finite is rejected by
-    its estimator before the first step. Jobs receiving zero allocation at
-    a step contribute no information and their estimator is not updated. Deterministic given
-    (instance.base_seed, options.seed).
+    still executes; a bound that is not a number, or not positive and
+    finite, is rejected before the first step. Jobs receiving zero
+    allocation at a step contribute no information and their estimator is
+    not updated. Deterministic given (instance.base_seed, options.seed).
     """
-    K = instance.num_jobs
-    lbs = [float(v) for v in initial_lower_bounds]
-    if len(lbs) != K:
-        raise ValueError(f"expected {K} initial lower bounds, got {len(lbs)}")
+    lbs = _floats("initial_lower_bounds", initial_lower_bounds)
+    if len(lbs) != instance.num_jobs:
+        raise ValueError(f"expected {instance.num_jobs} initial lower bounds, got {len(lbs)}")
     profile = optimal_profile(instance)
     rng = split_rng(instance.base_seed, options.seed)
-    trace, _ = _simulate(instance, options, profile, rng, lbs)
-    trace.metadata["initial_lower_bounds"] = lbs
-    return trace
+    return _simulate(instance, options, profile, rng, lbs)

@@ -90,10 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if args.config is not None:
         with open(args.config) as handle:
-            instance = ProblemInstance.from_json(handle.read())
-        horizon = args.horizon if args.horizon is not None else instance.horizon
-        seed = args.seed if args.seed is not None else instance.base_seed
-        instance = ProblemInstance(instance.nus, horizon, seed)
+            instance = ProblemInstance.from_json(handle.read(), args.horizon, args.seed)
     else:
         if args.horizon is None:
             raise SystemExit("error: --horizon is required with --nus")
@@ -105,8 +102,7 @@ def _cmd_run(args) -> int:
     if args.lower_bounds is None:
         trace = run_modified(instance, options)
     else:
-        bounds = [float(v) for v in args.lower_bounds]
-        trace = run_episode(instance, bounds, options)
+        trace = run_episode(instance, args.lower_bounds, options)
     if args.out:
         trace.to_csv(args.out)
     print(
@@ -160,12 +156,13 @@ def _cmd_init_stats(args) -> int:
     steps = np.empty(args.reps, dtype=np.int64)
     rows = []
     for rep in range(args.reps):
-        record = halving_init(nu, rng)
-        eta = sample_eta(nu, record.nu_lower0)
+        steps_used, _ = halving_init(nu, rng)
+        nu_lower0 = 2.0**-steps_used
+        eta = sample_eta(nu, nu_lower0)
         etas[rep] = eta
-        steps[rep] = record.steps_used
+        steps[rep] = steps_used
         if args.out:
-            rows.append(f"{rep},{record.steps_used},{record.nu_lower0!r},{eta!r}")
+            rows.append(f"{rep},{steps_used},{nu_lower0!r},{eta!r}")
     mean_eta = float(etas.mean())
     se_eta = float(etas.std(ddof=1) / math.sqrt(args.reps)) if args.reps > 1 else 0.0
     if args.out:

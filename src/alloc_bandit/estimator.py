@@ -33,11 +33,10 @@ def confidence_radius_f(r_max: float, v2: float, delta: float) -> float:
         + sqrt(2 (V^2+1) log(2/delta_0) + ((R+1)/3)^2 log^2(2/delta_0))
 
     Strictly increasing in both R and V^2. Natural logarithm throughout.
+    The caller keeps the domain: delta in (0, 1) and R, V^2 >= 0 (the
+    estimator checks delta once, at construction, and calls this only with
+    R >= 1 and V^2 > 0).
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if r_max < 0 or v2 < 0:
-        raise ValueError("r_max and v2 must be non-negative")
     r1 = r_max + 1.0
     log_term = math.log(2.0 * 3.0 * r1 * r1 * (v2 + 1.0) * (v2 + 1.0) / delta)
     a = r1 / 3.0 * log_term
@@ -80,18 +79,6 @@ class EstimatorState:
         # inverted (possible only when coverage has already failed).
         self.weight_capped = False
         self.collapsed = False
-
-    @property
-    def nu_lower(self) -> float:
-        return 1.0 / self.lower_recip
-
-    @property
-    def nu_upper(self) -> float:
-        return math.inf if self.upper_recip == 0.0 else 1.0 / self.upper_recip
-
-    def width(self) -> float:
-        """Interval width in reciprocal space: lower_recip - upper_recip."""
-        return self.lower_recip - self.upper_recip
 
     def update(self, m: float, x: int) -> "EstimatorState":
         """Fold in one (allocation, outcome) sample and tighten the interval.
@@ -165,20 +152,3 @@ class EstimatorState:
                 "collapsed": self.collapsed,
             }
         )
-
-    @classmethod
-    def from_snapshot(cls, text: str) -> "EstimatorState":
-        doc = json.loads(text)
-        state = cls.__new__(cls)
-        state.lower_recip = float(doc["L"])
-        state.upper_recip = float(doc["U"])
-        state.sum_wx = float(doc["sum_wx"])
-        state.sum_wm = float(doc["sum_wm"])
-        state.r_max = float(doc["r_max"])
-        state.t = int(doc["t"])
-        state.delta = float(doc["delta"])
-        state.full_alloc_steps = int(doc["T"])
-        state.weighted = bool(doc["weighted"])
-        state.weight_capped = bool(doc["weight_capped"])
-        state.collapsed = bool(doc["collapsed"])
-        return state

@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocator import PolicyOptions, atomic_write_text, run_episode
 from .initialization import run_modified
-from .model import ProblemInstance, _check_keys, _integer
+from .model import ProblemInstance, _check_keys, _floats, _integer
 
 WORKERS_ENV = "ALLOC_BANDIT_THREADS"
 
@@ -38,6 +38,8 @@ class ArmSpec:
     delta_override: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"arm name must be a string, got {self.name!r}")
         try:
             if self.lower_bounds is not None:
                 bounds = _floats("lower_bounds", self.lower_bounds)
@@ -50,17 +52,6 @@ class ArmSpec:
             PolicyOptions(mode=self.mode, delta_override=self.delta_override)
         except ValueError as exc:
             raise ValueError(f"arm {self.name!r}: {exc}") from None
-
-
-def _floats(name: str, values) -> tuple:
-    """``values`` as a tuple of floats; anything but a list of numbers is
-    rejected with an error naming the field."""
-    if not isinstance(values, str):
-        try:
-            return tuple(float(v) for v in values)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be a list of numbers, got {values!r}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -16,7 +16,6 @@ estimator updates use only main-policy allocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,45 +26,21 @@ from .allocator import _allocate_raw  # noqa: F401
 from .model import ProblemInstance, optimal_profile, split_rng
 
 
-@dataclass(frozen=True)
-class InitRecord:
-    """Outcome of one halving probe: the job it served, how many steps it
-    ran, the lower bound it produced (2^-steps_used) and what it consumed
-    at each of its local steps. ``capped`` marks a probe stopped by the
-    64-iteration guard instead of an observed failure."""
-
-    job: int
-    steps_used: int
-    nu_lower0: float
-    consumption: tuple
-    capped: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "job": self.job,
-            "steps_used": self.steps_used,
-            "nu_lower0": self.nu_lower0,
-            "consumption": list(self.consumption),
-            "capped": self.capped,
-        }
-
-
-def halving_init(nu: Optional[float], rng: np.random.Generator) -> InitRecord:
+def halving_init(nu: Optional[float], rng: np.random.Generator) -> tuple:
     """Probe a single job: allocate 2^-t until the first failure.
 
     ``nu`` is the true difficulty (None for unbounded). Each local step
-    consumes one uniform draw from ``rng``. The record's ``job`` is 0.
+    consumes one uniform draw from ``rng``. Returns ``(steps_used, capped)``:
+    the probe's lower bound is 2^-steps_used, and ``capped`` marks a probe
+    stopped by the 64-step guard instead of an observed failure.
     """
     if nu is not None and not nu > 0:
         raise ValueError(f"difficulty must be positive or None, got {nu}")
     recip = 0.0 if nu is None else 1.0 / nu
-    consumption = []
     for t in range(1, MAX_HALVING_STEPS + 1):
-        m = 2.0**-t
-        consumption.append(m)
-        if not rng.random() < m * recip:
-            return InitRecord(0, t, m, tuple(consumption))
-    return InitRecord(0, MAX_HALVING_STEPS, 2.0**-MAX_HALVING_STEPS, tuple(consumption), capped=True)
+        if not rng.random() < 2.0**-t * recip:
+            return t, False
+    return MAX_HALVING_STEPS, True
 
 
 def sample_eta(nu: Optional[float], nu_lower0: float) -> float:
@@ -85,16 +60,9 @@ def run_modified(instance: ProblemInstance, options: PolicyOptions = PolicyOptio
     budget among jobs whose probe has finished; one outcome is sampled per
     job from its total allocation; probe outcomes feed only the probe,
     main-policy outcomes feed only the estimators. Pseudo-regret is charged
-    against the true optimum from step 1, initialisation included.
+    against the true optimum from step 1, initialisation included. The
+    probes' records are in ``metadata["init_records"]`` (see ``_simulate``).
     """
     profile = optimal_profile(instance)
     rng = split_rng(instance.base_seed, options.seed)
-    trace, probe_ends = _simulate(instance, options, profile, rng, None)
-    records = []
-    for job, end in enumerate(probe_ends):
-        if end is not None:
-            steps, capped = end
-            consumption = tuple(2.0**-i for i in range(1, steps + 1))
-            records.append(InitRecord(job, steps, 2.0**-steps, consumption, capped).to_dict())
-    trace.metadata["init_records"] = records
-    return trace
+    return _simulate(instance, options, profile, rng, None)

@@ -83,12 +83,17 @@ class ProblemInstance:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ProblemInstance":
+    def from_json(cls, text: str, horizon=None, seed=None) -> "ProblemInstance":
         """Parse ``{"nus": [...], "horizon": n, "seed": s}``; ``seed`` may be
-        left out (0). Unknown and missing keys are rejected."""
+        left out (0). Unknown and missing keys are rejected. ``horizon`` and
+        ``seed``, when not None, replace the document's values."""
         doc = json.loads(text)
         _check_keys(doc, "instance", ("nus", "horizon", "seed"), ("nus", "horizon"))
-        return cls(nus=doc["nus"], horizon=doc["horizon"], base_seed=doc.get("seed", 0))
+        return cls(
+            nus=doc["nus"],
+            horizon=doc["horizon"] if horizon is None else horizon,
+            base_seed=doc.get("seed", 0) if seed is None else seed,
+        )
 
     def digest(self) -> str:
         """Short stable identifier for trace metadata."""
@@ -103,6 +108,17 @@ def _integer(name: str, value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _floats(name: str, values) -> tuple:
+    """``values`` as a tuple of floats; anything but a list of numbers is
+    rejected with an error naming the field."""
+    if not isinstance(values, str):
+        try:
+            return tuple(float(v) for v in values)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a list of numbers, got {values!r}")
 
 
 def _check_keys(doc, where: str, known, required) -> None:

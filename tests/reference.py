@@ -173,7 +173,7 @@ def weight(state, m: float) -> float:
     mu = m * state.upper_recip
     if mu >= 1.0 - 1e-12:
         raise WeightOverflowError(
-            f"allocation {m} too close to the upper bound {state.nu_upper}"
+            f"allocation {m} too close to the upper bound {1.0 / state.upper_recip}"
         )
     return 1.0 / (1.0 - mu)
 
@@ -226,7 +226,7 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
     """The episode step loop with O(K) work per step: every step refills all
     K jobs from scratch, samples every job and records full rows. Oracle for
     ``allocator._simulate``, which takes the same arguments and must return
-    the same trace and probe ends."""
+    the same trace, probe records included."""
     K = instance.num_jobs
     n = instance.horizon
     delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
@@ -239,7 +239,7 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
         return EstimatorState(nu_lower0, delta, weighted=weighted)
 
     states = [None] * K if probing else [build(v) for v in lower_bounds]
-    probe_ends = [None] * K
+    records = [None] * K
     probes: list = []
 
     allocations, observations, regrets = [], [], []
@@ -275,7 +275,13 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
             local = t + 1 - k
             if xs[k] == 0 or local == MAX_HALVING_STEPS:
                 states[k] = build(2.0**-local)
-                probe_ends[k] = (local, xs[k] == 1)
+                records[k] = {
+                    "job": k,
+                    "steps_used": local,
+                    "nu_lower0": 2.0**-local,
+                    "consumption": [2.0**-i for i in range(1, local + 1)],
+                    "capped": xs[k] == 1,
+                }
         probes = [k for k in probes if states[k] is None]
         allocations.append(m)
         observations.append(xs)
@@ -295,6 +301,10 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
         "mode": options.mode,
         "delta": delta,
     }
+    if probing:
+        metadata["init_records"] = [r for r in records if r is not None]
+    else:
+        metadata["initial_lower_bounds"] = list(lower_bounds)
     regrets = np.array(regrets, dtype=np.float64)
     cum_regrets = np.cumsum(regrets)
     return RunTrace(
@@ -307,7 +317,7 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
         metadata=metadata,
         lower_recips=rows(lower_hist) if options.record == "intervals" else None,
         upper_recips=rows(upper_hist) if options.record == "intervals" else None,
-    ), probe_ends
+    )
 
 
 def rank_gap(instance: ProblemInstance, profile: OptimalProfile, j: int, k: int) -> float:

@@ -317,9 +317,10 @@ def test_criterion_8_expected_eta():
         rng = split_rng(808080, int(nu * 1000))
         etas = np.empty(reps)
         for rep in range(reps):
-            record = halving_init(nu, rng)
-            etas[rep] = sample_eta(nu, record.nu_lower0)
-            assert record.nu_lower0 < nu
+            steps_used, _ = halving_init(nu, rng)
+            nu_lower0 = 2.0**-steps_used
+            etas[rep] = sample_eta(nu, nu_lower0)
+            assert nu_lower0 < nu
         mean = float(etas.mean())
         se = float(etas.std(ddof=1) / math.sqrt(reps))
         ok &= mean <= 4.0 + 3 * se

@@ -177,6 +177,18 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             PolicyOptions(delta_override=1.5)
 
+    @pytest.mark.parametrize("bounds", [(0.2, None), (0.2, "x"), 0.2, "0.2,0.3"])
+    def test_non_numeric_lower_bounds_rejected(self, bounds):
+        inst = ProblemInstance((0.4, 0.6), 10, 0)
+        with pytest.raises(ValueError, match="initial_lower_bounds must be a list of numbers"):
+            run_episode(inst, bounds)
+
+    def test_metadata_records_the_bounds_and_no_probes(self):
+        trace = run_episode(ProblemInstance((0.4, 0.6), 10, 0), np.array([0.2, 0.3]))
+        assert trace.metadata["initial_lower_bounds"] == [0.2, 0.3]
+        assert all(type(v) is float for v in trace.metadata["initial_lower_bounds"])
+        assert "init_records" not in trace.metadata
+
     @pytest.mark.parametrize("mode", ["weighted", "unweighted"])
     def test_one_job_one_step_runs(self, mode):
         # n K = 1 would give delta = 1, outside (0, 1); the level is floored

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,6 +65,28 @@ class TestRunCommand:
         result = invoke("run", "--config", str(config))
         assert result.returncode == 1
         assert "horizon must be an integer, got 99.7" in result.stderr
+
+    def test_flags_override_instance_config(self, tmp_path):
+        config = tmp_path / "instance.json"
+        config.write_text(json.dumps({"nus": [0.4, 0.6], "horizon": 50, "seed": 2}))
+        from_config = invoke("run", "--config", str(config), "--horizon", "30", "--seed", "7",
+                             "--lower-bounds", "0.2,0.3", "--out", str(tmp_path / "a.csv"))
+        from_flags = invoke("run", "--nus", "0.4,0.6", "--horizon", "30", "--seed", "7",
+                            "--lower-bounds", "0.2,0.3", "--out", str(tmp_path / "b.csv"))
+        assert from_config.returncode == from_flags.returncode == 0, from_config.stderr
+        assert "n=30 K=2" in from_config.stdout
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("bound", ["inf", "null"])
+    def test_unbounded_lower_bound_is_an_error(self, tmp_path, bound):
+        out = tmp_path / "trace.csv"
+        result = invoke("run", "--nus", "0.4,0.6", "--horizon", "10",
+                        "--lower-bounds", f"0.2,{bound}", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: initial_lower_bounds must be a list of numbers, got (0.2, None)\n"
+        )
+        assert not out.exists()
 
     def test_nus_and_config_mutually_exclusive(self, tmp_path):
         config = tmp_path / "instance.json"
@@ -205,6 +230,20 @@ class TestInitStatsCommand:
     def test_rejects_non_positive(self):
         result = invoke("init-stats", "--nu", "-1", "--reps", "10")
         assert result.returncode != 0
+
+    # sha256 of the per-replication CSV, recorded before halving_init
+    # returned a tuple; the capped case stops every probe at the guard.
+    @pytest.mark.parametrize("args,digest", [
+        (("--nu", "0.3", "--reps", "5000", "--seed", "5"),
+         "64571c079304a341d6ed874721eeaaef1e5d6d05f42f4a4721eb53f3d3f69b02"),
+        (("--nu", "1e-30", "--reps", "3", "--seed", "1"),
+         "0de360ac6f482e64f2aaad383a584bc0660a3d958968f5c57aa2ccc4de994f3d"),
+    ], ids=["nu0.3", "capped"])
+    def test_csv_matches_pinned_digest(self, tmp_path, args, digest):
+        out = tmp_path / "init.csv"
+        result = invoke("init-stats", *args, "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestUsage:

@@ -51,11 +51,13 @@ class TestConfidenceRadius:
             3.7, 19.25, 2.5e-9
         )
 
+
+class TestConstruction:
     def test_delta_domain(self):
-        with pytest.raises(ValueError):
-            confidence_radius_f(1, 1, 0.0)
-        with pytest.raises(ValueError):
-            confidence_radius_f(1, 1, 1.0)
+        # The one check of delta: confidence_radius_f trusts it afterwards.
+        for delta in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                EstimatorState(0.5, delta)
 
 
 class TestWeight:
@@ -133,7 +135,7 @@ class TestUpdate:
         state = EstimatorState(0.3, 1e-4, weighted=False)
         ms, xs = [], []
         for _ in range(200):
-            m = min(state.nu_lower, 0.3)
+            m = min(1.0 / state.lower_recip, 0.3)
             x = int(rng.random() < m / 0.7)
             state.update(m, x)
             ms.append(m)
@@ -168,18 +170,18 @@ class TestTrajectoryInvariants:
         nu_lower0, nu, seed, fractions = run
         rng = split_rng(seed)
         state = EstimatorState(nu_lower0, 1e-6)
-        prev_width = state.width()
+        prev_width = state.lower_recip - state.upper_recip
         prev_lower, prev_upper = state.lower_recip, state.upper_recip
         for frac in fractions:
-            m = frac * state.nu_lower
+            m = frac / state.lower_recip
             x = int(rng.random() < min(1.0, m / nu))
             state.update(m, x)
-            assert state.upper_recip <= state.lower_recip
-            assert state.width() >= 0.0
-            assert state.width() <= prev_width + 1e-15
+            width = state.lower_recip - state.upper_recip
+            assert width >= 0.0
+            assert width <= prev_width + 1e-15
             assert state.lower_recip <= prev_lower
             assert state.upper_recip >= prev_upper
-            prev_width = state.width()
+            prev_width = width
             prev_lower, prev_upper = state.lower_recip, state.upper_recip
         assert not state.collapsed
         assert state.sum_wm > 0.0
@@ -189,31 +191,41 @@ class TestTrajectoryInvariants:
         nu_lower0, _, _, fractions = run
         state = EstimatorState(nu_lower0, 0.5)
         for i, frac in enumerate(fractions):
-            m = frac * state.nu_lower
+            m = frac / state.lower_recip
             if m <= 0.0:
                 break
             x = data.draw(st.integers(0, 1), label=f"x{i}")
             state.update(m, x)
-            assert state.width() >= 0.0
-            assert state.upper_recip <= state.lower_recip
+            assert state.lower_recip - state.upper_recip >= 0.0
 
 
-class TestWidth:
-    def test_fresh_state(self):
-        assert EstimatorState(0.5, 0.01).width() == 2.0
+# Snapshot key -> EstimatorState slot; every slot has a key.
+SNAPSHOT_SLOTS = {
+    "L": "lower_recip",
+    "U": "upper_recip",
+    "sum_wx": "sum_wx",
+    "sum_wm": "sum_wm",
+    "r_max": "r_max",
+    "t": "t",
+    "delta": "delta",
+    "T": "full_alloc_steps",
+    "weighted": "weighted",
+    "weight_capped": "weight_capped",
+    "collapsed": "collapsed",
+}
 
-    def test_matches_method(self):
-        state = EstimatorState(0.25, 0.01)
-        state.update(0.2, 1)
-        assert state.width() == state.lower_recip - state.upper_recip
 
-
-def assert_round_trip(state: EstimatorState) -> None:
-    text = state.snapshot()
-    back = EstimatorState.from_snapshot(text)
-    for name in EstimatorState.__slots__:
-        assert getattr(back, name) == getattr(state, name), name
-    assert back.snapshot() == text
+def assert_snapshot_exact(state: EstimatorState) -> None:
+    """The parsed snapshot holds every slot with its type, floats bit for bit."""
+    doc = json.loads(state.snapshot())
+    assert set(doc) == set(SNAPSHOT_SLOTS)
+    for key, slot in SNAPSHOT_SLOTS.items():
+        want = getattr(state, slot)
+        assert type(doc[key]) is type(want), key
+        if isinstance(want, float):
+            assert doc[key].hex() == want.hex(), key
+        else:
+            assert doc[key] == want, key
 
 
 class TestSnapshot:
@@ -221,9 +233,9 @@ class TestSnapshot:
         rng = split_rng(5)
         state = EstimatorState(0.3, 2.5e-9)
         for _ in range(500):
-            m = min(state.nu_lower, 0.55)
+            m = min(1.0 / state.lower_recip, 0.55)
             state.update(m, int(rng.random() < m / 0.7))
-        assert_round_trip(state)
+        assert_snapshot_exact(state)
 
     def test_collapsed_flag_survives(self):
         # Known bounds above the true difficulties void coverage; with a
@@ -232,17 +244,17 @@ class TestSnapshot:
         trace = run_episode(instance, (0.6, 0.9), PolicyOptions(delta_override=0.5))
         state = trace.estimators[1]
         assert state.collapsed
-        assert_round_trip(state)
+        assert_snapshot_exact(state)
 
     def test_unweighted_and_capped_states_survive(self):
         state = EstimatorState(0.3, 1e-4, weighted=False)
         state.update(0.3, 1)
-        assert_round_trip(state)
+        assert_snapshot_exact(state)
         capped = EstimatorState(0.5, 0.01)
         capped.lower_recip = capped.upper_recip = 2.0
         capped.update(0.5, 1)
         assert capped.weight_capped
-        assert_round_trip(capped)
+        assert_snapshot_exact(capped)
 
     def test_schema_keys(self):
         doc = json.loads(EstimatorState(0.5, 0.01).snapshot())
@@ -250,6 +262,7 @@ class TestSnapshot:
             "L", "U", "sum_wx", "sum_wm", "r_max", "t", "delta", "T",
             "weighted", "weight_capped", "collapsed",
         }
+        assert sorted(SNAPSHOT_SLOTS.values()) == sorted(EstimatorState.__slots__)
 
 
 def test_coverage_smoke():
@@ -261,7 +274,7 @@ def test_coverage_smoke():
         state = EstimatorState(nu_lower0, delta)
         recip_true = 1.0 / nu
         for _ in range(n):
-            m = min(state.nu_lower, 1.0)
+            m = min(1.0 / state.lower_recip, 1.0)
             state.update(m, int(rng.random() < min(1.0, m / nu)))
             if not state.upper_recip <= recip_true <= state.lower_recip:
                 exits += 1

@@ -27,22 +27,17 @@ class TestHalvingInit:
     def test_forced_outcome_sequence(self):
         # successes need u < p; with nu = 0.3 steps 1..2 give p >= 0.25/0.3
         rng = ScriptedRng([0.0, 0.0, 0.99])
-        record = halving_init(0.3, rng)
-        assert record.steps_used == 3
-        assert record.nu_lower0 == 0.125
-        assert record.consumption == (0.5, 0.25, 0.125)
-        assert not record.capped
+        assert halving_init(0.3, rng) == (3, False)
+        assert rng.values == []
 
     def test_unbounded_difficulty_stops_immediately(self):
-        record = halving_init(None, split_rng(0))
-        assert record.steps_used == 1
-        assert record.nu_lower0 == 0.5
+        assert halving_init(None, split_rng(0)) == (1, False)
 
     def test_stop_time_distribution(self):
         # p_t = (1 - beta(2^-t / nu)) * prod_{s<t} beta(2^-s / nu)
         nu = 0.3
         rng = split_rng(314)
-        stops = np.array([halving_init(nu, rng).steps_used for _ in range(20_000)])
+        stops = np.array([halving_init(nu, rng)[0] for _ in range(20_000)])
         assert np.all(stops >= 2)  # t=1 cannot fail: 0.5 >= nu
         p2 = 1 - 0.25 / 0.3
         p3 = (0.25 / 0.3) * (1 - 0.125 / 0.3)
@@ -55,21 +50,22 @@ class TestHalvingInit:
         rng = split_rng(9)
         for nu in (0.05, 0.3, 0.7, 1.5, 5.0):
             for _ in range(2000):
-                record = halving_init(nu, rng)
-                assert record.nu_lower0 < nu
+                steps_used, capped = halving_init(nu, rng)
+                assert 2.0**-steps_used < nu
+                assert not capped
 
     def test_iteration_cap(self):
-        record = halving_init(1e-30, split_rng(0))
-        assert record.capped
-        assert record.steps_used == MAX_HALVING_STEPS
-        assert record.nu_lower0 == 2.0**-64
-        assert len(record.consumption) == 64
+        rng = ScriptedRng([0.0] * MAX_HALVING_STEPS + [0.99])
+        assert halving_init(1e-30, split_rng(0)) == (MAX_HALVING_STEPS, True)
+        # A success at every step still stops at the guard.
+        assert halving_init(1e-30, rng) == (64, True)
+        assert rng.values == [0.99]
 
     def test_mean_eta_bounded(self):
         rng = split_rng(77)
         for nu in (0.3, 1.5):
             etas = np.array(
-                [sample_eta(nu, halving_init(nu, rng).nu_lower0) for _ in range(20_000)]
+                [sample_eta(nu, 2.0 ** -halving_init(nu, rng)[0]) for _ in range(20_000)]
             )
             se = float(etas.std(ddof=1) / math.sqrt(len(etas)))
             assert float(etas.mean()) <= 4.0 + 3 * se
@@ -80,7 +76,7 @@ class TestHalvingInit:
         means = []
         for j in js:
             nu = 2.0 ** -int(j)
-            means.append(np.mean([halving_init(nu, rng).steps_used for _ in range(2000)]))
+            means.append(np.mean([halving_init(nu, rng)[0] for _ in range(2000)]))
         corr = np.corrcoef(js, means)[0, 1]
         assert corr > 0.99
 
@@ -101,7 +97,7 @@ class TestSampleEta:
 
 
 def probe_consumption_by_step(trace):
-    """Reconstruct per-step, per-job probe consumption from InitRecords."""
+    """Reconstruct per-step, per-job probe consumption from the probe records."""
     n, K = trace.allocations.shape
     consumption = np.zeros((n, K))
     for rec in trace.metadata["init_records"]:
@@ -180,6 +176,21 @@ class TestRunModified:
         assert np.array_equal(a.observations, b.observations)
         assert np.array_equal(a.lower_recips, b.lower_recips)
         assert a.metadata["init_records"] == b.metadata["init_records"]
+
+    def test_probe_records_in_job_order_with_capped_probe(self):
+        # Job 0 (unbounded) fails at once; job 1 succeeds until the guard.
+        trace = run_modified(ProblemInstance((None, 1e-30), 80, 0), PolicyOptions(record="final"))
+        assert "initial_lower_bounds" not in trace.metadata
+        assert trace.metadata["init_records"] == [
+            {"job": 0, "steps_used": 1, "nu_lower0": 0.5, "consumption": [0.5], "capped": False},
+            {
+                "job": 1,
+                "steps_used": MAX_HALVING_STEPS,
+                "nu_lower0": 2.0**-64,
+                "consumption": [2.0**-t for t in range(1, 65)],
+                "capped": True,
+            },
+        ]
 
     def test_short_horizon_leaves_probes_unfinished(self):
         inst = ProblemInstance((None, 0.5), 1, 0)

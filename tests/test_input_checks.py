@@ -4,6 +4,7 @@ cell runs."""
 
 import json
 import math
+import re
 
 import pytest
 
@@ -55,6 +56,21 @@ def test_arm_lower_bounds_must_be_numbers(bounds):
     doc = {**BASE, "arms": [{"name": "k", "lower_bounds": bounds}]}
     with pytest.raises(ValueError, match=r"arm 'k': lower_bounds must be a list of numbers"):
         ExperimentConfig.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", [5, None, ["a"]])
+def test_arm_name_must_be_a_string(tmp_path, name):
+    message = f"arm name must be a string, got {name!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ArmSpec(name)
+    doc = {**BASE, "arms": [{"name": name}]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_json(json.dumps(doc))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    result = invoke("experiment", "--config", str(path))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("reps", ["0", "-3"])
