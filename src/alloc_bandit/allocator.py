@@ -37,7 +37,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimator import EstimatorState
-from .model import OptimalProfile, ProblemInstance, _floats, optimal_profile, split_rng
+from .model import (
+    OptimalProfile,
+    ProblemInstance,
+    _allocate_raw,
+    _floats,
+    optimal_profile,
+    split_rng,
+)
 
 MODES = ("weighted", "unweighted")
 
@@ -160,27 +167,6 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
-    """Greedy fill over a fill order: a sorted sequence of
-    ``(nu_lower, k)``, easiest job first, ties toward the lowest index.
-
-    Each job in turn receives ``min(nu_lower, remaining budget)`` until the
-    budget is spent. Returns ``[(k, take), ...]`` for the jobs reached, in
-    fill order; jobs not reached receive nothing.
-    """
-    fill = []
-    remaining = budget
-    for nu_low, k in order:
-        if remaining <= 0.0:
-            break
-        take = nu_low if nu_low < remaining else remaining
-        fill.append((k, take))
-        remaining -= take
-        if remaining < 0.0:
-            remaining = 0.0
-    return fill
 
 
 def default_delta(horizon: int, num_jobs: int) -> float:

@@ -31,16 +31,14 @@ from .initialization import halving_init, run_modified, sample_eta
 from .model import ProblemInstance, split_rng
 
 
+def _difficulty(raw: str):
+    """A number, or None (unbounded) for ``null``, ``none`` or ``inf``."""
+    raw = raw.strip()
+    return None if raw.lower() in ("null", "none", "inf") else float(raw)
+
+
 def _parse_float_list(raw: str) -> tuple:
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part.lower() in ("null", "none", "inf"):
-            out.append(None)
-        else:
-            out.append(float(part))
+    out = [_difficulty(part) for part in raw.split(",") if part.strip()]
     if not out:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     return tuple(out)
@@ -150,7 +148,7 @@ def _cmd_minimax(args) -> int:
 def _cmd_init_stats(args) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
-    nu = None if args.nu.lower() in ("inf", "null", "none") else float(args.nu)
+    nu = _difficulty(args.nu)
     rng = split_rng(args.seed)
     etas = np.empty(args.reps)
     steps = np.empty(args.reps, dtype=np.int64)

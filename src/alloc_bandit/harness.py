@@ -80,6 +80,8 @@ class ExperimentConfig:
         object.__setattr__(self, "arms", tuple(self.arms))
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
+        if not isinstance(self.experiment_id, str):
+            raise ValueError(f"experiment_id must be a string, got {self.experiment_id!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         for name in ("replications", "horizon", "base_seed"):
@@ -174,7 +176,6 @@ class ExperimentResult:
     estimator hit the weight cap, and whose interval collapsed.
     """
 
-    config: ExperimentConfig
     rows: list
     finals: dict = field(default_factory=dict)
     health: dict = field(default_factory=dict)
@@ -244,38 +245,37 @@ def _map_cells(cell, tasks: list, workers: Optional[int]) -> list:
     return [cell(task) for task in tasks]
 
 
+def _replicate(cell, groups: list, reps: int, workers: Optional[int]) -> list:
+    """Run ``cell((*group, rep))`` for every group and replication through
+    ``_map_cells``. Per group, in order, returns ``(finals, health)``: the
+    final regrets as an array and the health counts summed."""
+    tasks = [(*group, rep) for group in groups for rep in range(reps)]
+    outcomes = _map_cells(cell, tasks, workers)
+    out = []
+    for start in range(0, len(outcomes), reps):
+        regrets, *counts = zip(*outcomes[start : start + reps])
+        out.append((np.asarray(regrets), tuple(map(sum, counts))))
+    return out
+
+
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentResult:
     """Run the full sweep and aggregate (deterministic given base seed,
     independent of worker count and completion order)."""
-    tasks = [
-        (config, point, arm_index, rep)
+    groups = [
+        (config, point, arm_index)
         for point in range(len(config.grid))
         for arm_index in range(len(config.arms))
-        for rep in range(config.replications)
     ]
-    outcomes = _map_cells(_run_cell, tasks, workers)
-
-    result = ExperimentResult(config=config, rows=[])
-    cursor = 0
     reps = config.replications
-    for point in range(len(config.grid)):
-        for arm_index, arm in enumerate(config.arms):
-            regrets, *counts = zip(*outcomes[cursor : cursor + reps])
-            cursor += reps
-            finals = np.asarray(regrets)
-            mean = float(np.mean(finals))
-            stderr = float(np.std(finals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-            result.rows.append(
-                PointStats(
-                    grid_value=config.grid[point],
-                    arm=arm.name,
-                    mean_regret=mean,
-                    stderr=stderr,
-                    reps=reps,
-                )
-            )
-            result.finals[(point, arm.name)] = finals
-            result.health[(point, arm.name)] = tuple(map(sum, counts))
+    result = ExperimentResult(rows=[])
+    aggregated = _replicate(_run_cell, groups, reps, workers)
+    for (_, point, arm_index), (finals, health) in zip(groups, aggregated):
+        arm = config.arms[arm_index]
+        mean = float(np.mean(finals))
+        stderr = float(np.std(finals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        result.rows.append(PointStats(config.grid[point], arm.name, mean, stderr, reps))
+        result.finals[(point, arm.name)] = finals
+        result.health[(point, arm.name)] = health
     return result
 
 
@@ -307,16 +307,22 @@ def minimax_family(n: int, num_jobs: int, base_seed: int = 0) -> list:
 
 @dataclass(frozen=True)
 class MinimaxStressResult:
-    sup_regret: float
-    ratio: float
     per_instance_mean: tuple
     n: int
     num_jobs: int
     reps: int
 
     @property
+    def sup_regret(self) -> float:
+        return max(self.per_instance_mean)
+
+    @property
     def sqrt_nk(self) -> float:
         return math.sqrt(self.n * self.num_jobs)
+
+    @property
+    def ratio(self) -> float:
+        return self.sup_regret / self.sqrt_nk
 
 
 def minimax_stress(
@@ -332,30 +338,13 @@ def minimax_stress(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     family = minimax_family(n, num_jobs, base_seed)
-    tasks = [
-        (family[idx], idx, rep, base_seed)
-        for idx in range(len(family))
-        for rep in range(reps)
-    ]
-    outcomes = _map_cells(_minimax_cell, tasks, workers)
-    means = []
-    cursor = 0
-    for _ in family:
-        finals = [cell[0] for cell in outcomes[cursor : cursor + reps]]
-        cursor += reps
-        means.append(float(np.mean(finals)))
-    sup = max(means)
-    return MinimaxStressResult(
-        sup_regret=sup,
-        ratio=sup / math.sqrt(n * num_jobs),
-        per_instance_mean=tuple(means),
-        n=n,
-        num_jobs=num_jobs,
-        reps=reps,
-    )
+    groups = [(instance, idx, base_seed) for idx, instance in enumerate(family)]
+    outcomes = _replicate(_minimax_cell, groups, reps, workers)
+    means = tuple(float(np.mean(finals)) for finals, _ in outcomes)
+    return MinimaxStressResult(per_instance_mean=means, n=n, num_jobs=num_jobs, reps=reps)
 
 
 def _minimax_cell(args) -> tuple:
-    instance, idx, rep, base_seed = args
+    instance, idx, base_seed, rep = args
     options = PolicyOptions(record="final", seed=_stream_seed(base_seed, idx, 0, rep))
     return _cell_record(run_modified(instance, options), instance)

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,8 +57,7 @@ class ProblemInstance:
         for i, nu in enumerate(self.nus):
             if nu is None:
                 continue
-            real = isinstance(nu, numbers.Real) and not isinstance(nu, bool)
-            if not (real and nu > 0 and math.isfinite(nu)):
+            if not (_real(nu) and nu > 0 and math.isfinite(nu)):
                 raise ValueError(f"nus[{i}] must be positive and finite (or None), got {nu!r}")
         horizon = _integer("horizon", self.horizon)
         if horizon < 1:
@@ -110,15 +110,22 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value) -> bool:
+    """A real number; bools are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _floats(name: str, values) -> tuple:
-    """``values`` as a tuple of floats; anything but a list of numbers is
-    rejected with an error naming the field."""
-    if not isinstance(values, str):
-        try:
-            return tuple(float(v) for v in values)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    """``values`` as a tuple of floats; anything but a list of real numbers
+    (a string, or one holding a string or a bool) is rejected with an error
+    naming the field."""
+    try:
+        items = None if isinstance(values, str) else tuple(values)
+    except TypeError:
+        items = None
+    if items is None or not all(map(_real, items)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(map(float, items))
 
 
 def _check_keys(doc, where: str, known, required) -> None:
@@ -153,38 +160,50 @@ class OptimalProfile:
     sort_order: tuple
 
 
-def optimal_profile(instance: ProblemInstance) -> OptimalProfile:
-    """Best fixed allocation: fill jobs in increasing difficulty.
+def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
+    """Greedy fill over a fill order: a sequence of ``(nu, k)``, easiest
+    job first, ties toward the lowest index. The step kernel fills over
+    optimistic lower bounds, ``optimal_profile`` over the true difficulties.
 
-    In sorted order each job receives min(remaining budget, nu); the first
-    job that cannot be fully covered absorbs the whole remainder and all
-    later jobs receive nothing. Ties are broken by original job index
-    (stable sort); unbounded difficulties sort last.
+    Each job in turn receives ``min(nu, remaining budget)`` until the
+    budget is spent. Returns ``[(k, take), ...]`` for the jobs reached, in
+    fill order; jobs not reached receive nothing.
+    """
+    fill = []
+    remaining = budget
+    for nu, k in order:
+        if remaining <= 0.0:
+            break
+        take = nu if nu < remaining else remaining
+        fill.append((k, take))
+        remaining -= take
+        if remaining < 0.0:
+            remaining = 0.0
+    return fill
+
+
+def optimal_profile(instance: ProblemInstance) -> OptimalProfile:
+    """Best fixed allocation: the policy's greedy fill applied to the true
+    difficulties.
+
+    Jobs are filled in increasing difficulty, each receiving min(nu,
+    remaining budget), so the first job that cannot be fully covered absorbs
+    the whole remainder and all later jobs receive nothing. Ties are broken
+    by original job index (stable sort); unbounded difficulties sort last.
     """
     K = instance.num_jobs
     recips = instance.recips
     order = sorted(range(K), key=lambda k: (-recips[k], k))
-    m_sorted = []
-    remaining = 1.0
-    ell = 0
-    for rank, k in enumerate(order):
-        nu = instance.nus[k]
-        if nu is not None and nu <= remaining:
-            m_sorted.append(nu)
-            remaining -= nu
-            if remaining < 0.0:
-                remaining = 0.0
-            ell = rank + 1
-        else:
-            m_sorted.append(remaining)
-            remaining = 0.0
-    s_star = m_sorted[ell] if ell < K else 0.0
-    rho_star = float(ell) + (s_star * recips[order[ell]] if ell < K else 0.0)
+    nus = [math.inf if nu is None else nu for nu in instance.nus]
+    fill = _allocate_raw([(nus[k], k) for k in order], 1.0)
     m = [0.0] * K
-    for rank, k in enumerate(order):
-        m[k] = m_sorted[rank]
+    for k, take in fill:
+        m[k] = float(take)
+    ell = sum(take == nus[k] for k, take in fill)
+    s_star = m[order[ell]] if ell < K else 0.0
+    rho_star = float(ell) + (s_star * recips[order[ell]] if ell < K else 0.0)
     return OptimalProfile(
-        m_star=tuple(float(v) for v in m),
+        m_star=tuple(m),
         ell=ell,
         s_star=s_star,
         rho_star=rho_star,

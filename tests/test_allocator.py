@@ -177,7 +177,9 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             PolicyOptions(delta_override=1.5)
 
-    @pytest.mark.parametrize("bounds", [(0.2, None), (0.2, "x"), 0.2, "0.2,0.3"])
+    @pytest.mark.parametrize(
+        "bounds", [(0.2, None), (0.2, "x"), 0.2, "0.2,0.3", ["0.2", 0.3], [0.2, True]]
+    )
     def test_non_numeric_lower_bounds_rejected(self, bounds):
         inst = ProblemInstance((0.4, 0.6), 10, 0)
         with pytest.raises(ValueError, match="initial_lower_bounds must be a list of numbers"):

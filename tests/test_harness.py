@@ -288,7 +288,7 @@ class TestEmitCsv:
     def test_empty_result_is_header_only(self, tmp_path):
         from alloc_bandit.harness import ExperimentResult
 
-        result = ExperimentResult(config=small_config(), rows=[])
+        result = ExperimentResult(rows=[])
         path = tmp_path / "empty.csv"
         emit_csv(result, str(path))
         assert path.read_text() == "grid_value,arm,mean_regret,stderr,reps\n"

@@ -20,7 +20,10 @@ BASE = {"experiment_id": "mini", "nus": [0.4, 0.6], "sweep": "horizon", "grid": 
     ("sweep", 5, "sweep must be 'horizon' or 'nu<j>', got 5"),
     ("grid", 5, "grid must be a list of numbers, got 5"),
     ("grid", "300", "grid must be a list of numbers, got '300'"),
+    ("grid", ["300"], "grid must be a list of numbers, got ['300']"),
+    ("grid", [True], "grid must be a list of numbers, got [True]"),
     ("output_path", 5, "output_path must be a string, got 5"),
+    ("experiment_id", 5, "experiment_id must be a string, got 5"),
 ])
 def test_experiment_config_of_wrong_type_is_an_error(tmp_path, key, value, message):
     path = tmp_path / "exp.json"
@@ -51,7 +54,7 @@ def test_arm_lower_bounds_are_checked_when_the_config_is_built(bound):
         ExperimentConfig.from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("bounds", [0.5, [None, 0.3], ["x", 0.3]])
+@pytest.mark.parametrize("bounds", [0.5, [None, 0.3], ["x", 0.3], ["0.2", 0.3], [0.2, True]])
 def test_arm_lower_bounds_must_be_numbers(bounds):
     doc = {**BASE, "arms": [{"name": "k", "lower_bounds": bounds}]}
     with pytest.raises(ValueError, match=r"arm 'k': lower_bounds must be a list of numbers"):

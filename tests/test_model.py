@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -106,6 +107,37 @@ class TestInstance:
             ProblemInstance.from_json(json.dumps(doc))
 
 
+def profile_cases(count):
+    """Instances for the optimal_profile digest, drawn from split_rng(7) at
+    K in {1, 2, 3, 8, 32}: generic difficulties, exact ties, 1-ulp near-ties,
+    pairs that sum to the budget exactly or within an ulp of it, integer
+    difficulties and unbounded jobs."""
+    rng = split_rng(7)
+    exact = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
+    for i in range(count):
+        K = int(rng.choice((1, 2, 3, 8, 32)))
+        nus = [float(v) for v in rng.uniform(0.01, 1.5, K)]
+        kind = i % 6
+        if kind == 1:
+            pool = [float(v) for v in rng.uniform(0.05, 1.2, 2)]
+            nus = [pool[j] for j in rng.integers(0, 2, K)]
+        elif kind == 2:
+            base = float(rng.uniform(0.05, 0.7))
+            near = (math.nextafter(base, 0.0), base, math.nextafter(base, 2.0))
+            nus = [near[j] for j in rng.integers(0, 3, K)]
+        elif kind == 3:
+            nus = [exact[j] for j in rng.integers(0, len(exact), K)]
+        elif kind == 4:
+            nus = [int(v) for v in rng.integers(1, 4, K)]
+            if K > 1:
+                nus[0] = float(rng.uniform(0.05, 0.95))
+                nus[1] = [math.nextafter(1.0 - nus[0], 0.0), 1.0 - nus[0],
+                          math.nextafter(1.0 - nus[0], 2.0)][int(rng.integers(0, 3))]
+        elif kind == 5:
+            nus = [None if u < 0.3 else nu for u, nu in zip(rng.random(K), nus)]
+        yield ProblemInstance(tuple(nus), 10)
+
+
 class TestOptimalProfile:
     def test_budget_covers_all(self):
         prof = optimal_profile(make_instance([0.4, 0.6]))
@@ -177,6 +209,18 @@ class TestOptimalProfile:
         assert shuffled.rho_star == pytest.approx(base.rho_star, abs=1e-12)
         for i, p in enumerate(perm):
             assert shuffled.m_star[i] == pytest.approx(base.m_star[p], abs=1e-12)
+
+    def test_digest_over_random_instances(self):
+        # Pins every field bit for bit, so a rewrite of the fill must give
+        # the same allocation, tie-breaking and rounding on all of them.
+        h = hashlib.sha256()
+        for inst in profile_cases(2000):
+            prof = optimal_profile(inst)
+            fields = [",".join(map(float.hex, prof.m_star)), float.hex(prof.s_star),
+                      float.hex(prof.rho_star), str(prof.ell),
+                      ",".join(map(str, prof.sort_order))]
+            h.update(("|".join(fields) + "\n").encode())
+        assert h.hexdigest() == "2f093b0e1df28559e3a7f4539e3a6a21be4ba7158eb92bcb3fe4f4839f560a2d"
 
 
 class TestBruteForce:
