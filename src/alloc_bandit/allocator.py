@@ -32,7 +32,7 @@ import tempfile
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,16 +111,20 @@ class RunTrace:
     def to_csv(self, path: str) -> None:
         """Write one row per step: t, M_k, X_k, r_t, cumregret[, L_k, U_k].
 
-        Written atomically (temp file + rename); floats use shortest
-        round-trip decimals so re-emission is byte-identical. A trace
-        recorded at level ``"final"`` has no rows and is rejected.
+        Streamed to a temp file one block of ``_CSV_BLOCK`` rows at a time,
+        so memory holds one block's text, not the file's, and renamed into
+        place once every block is written: a failure in any block leaves no
+        partial output. Floats use shortest round-trip decimals so
+        re-emission is byte-identical. A trace recorded at level
+        ``"final"`` has no rows and is rejected.
         """
         if self.allocations is None:
             raise ValueError("a trace recorded at level 'final' has no per-step rows")
-        atomic_write_text(path, self._csv_text())
+        _write_chunks(path, self._csv_blocks())
 
-    def _csv_text(self) -> str:
-        """The CSV as one string, built ``_CSV_BLOCK`` rows at a time.
+    def _csv_blocks(self) -> Iterator[str]:
+        """The CSV text in pieces: the header, then ``_CSV_BLOCK`` rows at a
+        time.
 
         Per block the float columns are stacked and ``repr`` runs once per
         distinct bit pattern (so -0.0, nan and inf print as ``repr`` prints
@@ -137,7 +141,7 @@ class RunTrace:
             cols += [f"U_{k + 1}" for k in range(K)]
             float_cols += [self.lower_recips, self.upper_recips]
         bits_table = np.array(["0", "1"], dtype=object)
-        blocks = [",".join(cols) + "\n"]
+        yield ",".join(cols) + "\n"
         for start in range(0, n, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, n)
             floats = np.concatenate([c[start:stop] for c in float_cols], axis=1, dtype=np.float64)
@@ -150,19 +154,39 @@ class RunTrace:
             cells[:, 1 : 1 + K] = gathered[:, :K]
             cells[:, 1 + K : 1 + 2 * K] = bits_table[self.observations[start:stop]]
             cells[:, 1 + 2 * K :] = gathered[:, K:]
-            blocks.append("\n".join(map(",".join, cells.tolist())) + "\n")
-        return "".join(blocks)
+            yield "\n".join(map(",".join, cells.tolist())) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory and rename into place,
-    so failures never leave partial output."""
+    """Write ``text`` to ``path`` as ``_write_chunks`` does."""
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks in order to a temp file in the target directory and
+    rename it into place, so a failure, even while producing a later chunk,
+    never leaves partial output.
+
+    The file gets the mode a plain ``open(path, "w")`` would give it
+    (0o666 less the umask), not the temp file's 0o600. An error creating or
+    renaming the file names ``path``, not the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+            # os.umask is the only portable way to read the umask: it sets one.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            handle.writelines(chunks)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

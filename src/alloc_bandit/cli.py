@@ -93,10 +93,14 @@ def _cmd_run(args) -> int:
         if args.horizon is None:
             raise SystemExit("error: --horizon is required with --nus")
         instance = ProblemInstance(args.nus, args.horizon, args.seed if args.seed is not None else 0)
-    options = PolicyOptions(
-        mode=args.mode,
-        record="intervals" if args.snapshot_intervals else "steps",
-    )
+    # Without --out only the final regret is printed, so nothing per-step is kept.
+    if not args.out:
+        record = "final"
+    elif args.snapshot_intervals:
+        record = "intervals"
+    else:
+        record = "steps"
+    options = PolicyOptions(mode=args.mode, record=record)
     if args.lower_bounds is None:
         trace = run_modified(instance, options)
     else:

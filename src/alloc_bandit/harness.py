@@ -41,6 +41,9 @@ class ArmSpec:
         if not isinstance(self.name, str):
             raise ValueError(f"arm name must be a string, got {self.name!r}")
         try:
+            # emit_csv writes the name as an unquoted CSV field.
+            if any(c in self.name for c in ',"\r\n'):
+                raise ValueError("name must not contain a comma, a double quote or a line break")
             if self.lower_bounds is not None:
                 bounds = _floats("lower_bounds", self.lower_bounds)
                 for i, bound in enumerate(bounds):
@@ -237,9 +240,11 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
 
 def _map_cells(cell, tasks: list, workers: Optional[int]) -> list:
     """``[cell(task) for task in tasks]``, in a process pool when there is
-    more than one worker and more than one task; results keep task order."""
-    workers = resolve_workers(workers)
-    if workers > 1 and len(tasks) > 1:
+    more than one worker and more than one task; results keep task order.
+    The pool has at most one worker per task, since it may start all of
+    them at the first submit."""
+    workers = min(resolve_workers(workers), len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(cell, tasks, chunksize=1))
     return [cell(task) for task in tasks]

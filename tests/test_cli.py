@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 
 import pytest
+
+from alloc_bandit import cli
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -121,6 +124,61 @@ class TestRunCommand:
         )
         assert result.returncode != 0
         assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", [[], ["--lower-bounds", "0.2,0.3"]])
+    def test_without_out_only_the_final_regret_is_recorded(
+        self, tmp_path, monkeypatch, capsys, bounds
+    ):
+        levels = []
+        for name in ("run_episode", "run_modified"):
+            def recording(instance, *args, real=getattr(cli, name)):
+                levels.append(args[-1].record)
+                return real(instance, *args)
+
+            monkeypatch.setattr(cli, name, recording)
+        argv = ["run", "--nus", "0.4,0.6", "--horizon", "3000", "--seed", "5",
+                "--snapshot-intervals", *bounds]
+        out = tmp_path / "trace.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        with_out = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        without_out = capsys.readouterr().out
+        assert levels == ["intervals", "final"]
+        assert without_out == with_out.replace(f" wrote={out}", "")
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_files_get_the_mode_a_plain_open_gives(self, tmp_path, umask):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "experiment_id": "mode", "nus": [0.4, 0.6], "sweep": "horizon",
+            "grid": [20], "replications": 2,
+        }))
+        commands = {
+            "trace.csv": ["run", "--nus", "0.4,0.6", "--horizon", "20"],
+            "aggregate.csv": ["experiment", "--config", str(config)],
+            "init.csv": ["init-stats", "--nu", "0.5", "--reps", "5"],
+        }
+        previous = os.umask(umask)
+        try:
+            results = [invoke(*argv, "--out", str(tmp_path / name))
+                       for name, argv in commands.items()]
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert [r.returncode for r in results] == [0, 0, 0], [r.stderr for r in results]
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == 0o666 & ~umask
+        for name in commands:
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
+
+    def test_missing_directory_error_names_the_requested_path(self, tmp_path):
+        out = tmp_path / "missing_dir" / "x.csv"
+        result = invoke("run", "--nus", "0.4,0.6", "--horizon", "10", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not (tmp_path / "missing_dir").exists()
 
 
 class TestExperimentCommand:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from alloc_bandit import harness
 from alloc_bandit.allocator import PolicyOptions, run_episode
 from alloc_bandit.harness import (
     ArmSpec,
@@ -269,6 +270,34 @@ class TestRunExperiment:
         assert [r for r in serial.rows] == [r for r in parallel.rows]
         for key in serial.finals:
             assert np.array_equal(serial.finals[key], parallel.finals[key])
+
+    @pytest.mark.parametrize("workers,env", [(64, "1"), (None, "64")])
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, workers, env):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs every cell in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        config = small_config(grid=(0.6,), replications=3)
+        serial = run_experiment(config, workers=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", env)
+        pooled = run_experiment(config, workers=workers)
+        assert sizes == [3]
+        assert pooled.rows == serial.rows
+        assert np.array_equal(pooled.finals[(0, "weighted")], serial.finals[(0, "weighted")])
 
     def test_row_order_and_stats(self):
         config = small_config(arms=(ArmSpec(name="a"), ArmSpec(name="b", mode="unweighted")))

@@ -76,6 +76,28 @@ def test_arm_name_must_be_a_string(tmp_path, name):
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name", ["w,1", 'say "w"', "a\rb", "a\nb"])
+def test_arm_name_must_fit_in_an_unquoted_csv_field(name):
+    message = f"arm {name!r}: name must not contain a comma, a double quote or a line break"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ArmSpec(name)
+    doc = {**BASE, "arms": [{"name": name}]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_json(json.dumps(doc))
+
+
+def test_experiment_rejects_an_arm_name_with_a_comma(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**BASE, "arms": [{"name": "w,1"}, {"name": "a\nb"}]}))
+    out = tmp_path / "agg.csv"
+    result = invoke("experiment", "--config", str(path), "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: arm 'w,1': name must not contain a comma, a double quote or a line break\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reps", ["0", "-3"])
 def test_init_stats_rejects_reps_below_one(reps):
     result = invoke("init-stats", "--nu", "0.5", "--reps", reps)

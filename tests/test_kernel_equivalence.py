@@ -73,7 +73,7 @@ def artifacts(trace) -> tuple:
         None if s is None else (s.snapshot(), s.weighted, s.weight_capped, s.collapsed)
         for s in trace.estimators
     ]
-    return trace._csv_text(), json.dumps(trace.metadata, sort_keys=True), states
+    return "".join(trace._csv_blocks()), json.dumps(trace.metadata, sort_keys=True), states
 
 
 def run_all(instance, lower_bounds, extra) -> list:

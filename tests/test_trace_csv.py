@@ -7,7 +7,7 @@ repeated and one-off values. Horizons sit on and just past the writer's
 block boundary and span several blocks.
 """
 
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,20 +81,37 @@ def test_every_special_value_in_every_column(tmp_path):
             assert set(cells) == expected, name
 
 
-def test_single_atomic_write_of_one_string(tmp_path, monkeypatch):
-    calls = []
-    real = allocator.atomic_write_text
+def test_failure_in_a_later_block_leaves_nothing_behind(tmp_path):
+    trace = hand_built_trace(3 * BLOCK, 2, True)
+    # An outcome of 2 has no text, so formatting the third block fails after
+    # the first two were written.
+    trace.observations[2 * BLOCK, 1] = 2
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"earlier output\n")
+    with pytest.raises(IndexError):
+        trace.to_csv(str(path))
+    assert path.read_bytes() == b"earlier output\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
-    def recording(path, text):
-        calls.append((path, text))
-        real(path, text)
 
-    monkeypatch.setattr(allocator, "atomic_write_text", recording)
-    trace = hand_built_trace(BLOCK + 1, 2, True)
-    path = str(tmp_path / "trace.csv")
-    trace.to_csv(path)
-    assert len(calls) == 1
-    written_path, text = calls[0]
-    assert written_path == path
-    assert type(text) is str
-    assert len(text) == os.path.getsize(path)
+def _to_csv_peak(trace, path: str) -> int:
+    """Peak bytes allocated while ``trace.to_csv(path)`` runs."""
+    tracemalloc.start()
+    try:
+        trace.to_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_one_block_not_the_file(tmp_path, monkeypatch):
+    # Smaller blocks keep the traced runs short; the peak should follow the
+    # block, whatever its size, and not the number of rows.
+    block = 512
+    monkeypatch.setattr(allocator, "_CSV_BLOCK", block)
+    peaks = {}
+    for blocks in (10, 40):
+        path = tmp_path / f"trace_{blocks}.csv"
+        peaks[blocks] = _to_csv_peak(hand_built_trace(blocks * block, 2, True), str(path))
+    assert peaks[40] <= 1.25 * peaks[10], peaks
+    assert peaks[40] < path.stat().st_size / 4, (peaks, path.stat().st_size)
