@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numbers
 import os
-import tempfile
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -167,29 +166,26 @@ def _write_chunks(path: str, chunks: Iterable[str]) -> None:
     rename it into place, so a failure, even while producing a later chunk,
     never leaves partial output.
 
-    The file gets the mode a plain ``open(path, "w")`` would give it
-    (0o666 less the umask), not the temp file's 0o600. An error creating or
-    renaming the file names ``path``, not the temp file.
+    The temp file, under a random name, is created as a plain
+    ``open(path, "w")`` creates a file: mode 0o666, less the umask the OS
+    applies. An error creating or renaming the file names ``path``, not the
+    temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            # os.umask is the only portable way to read the umask: it sets one.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             handle.writelines(chunks)
         try:
             os.replace(tmp, path)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -299,8 +295,6 @@ def _simulate(
             if steps:
                 allocations[base + k] = mk
                 observations[base + k] = x
-            if not mk > 0.0:
-                continue
             reward += p if p < 1.0 else 1.0
             s = states[k]
             if s is None:

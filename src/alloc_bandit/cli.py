@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .initialization import halving_init, run_modified, sample_eta
-from .model import ProblemInstance, split_rng
+from .model import ProblemInstance, _seed, split_rng
 
 
 def _difficulty(raw: str):
@@ -90,8 +90,6 @@ def _cmd_run(args) -> int:
         with open(args.config) as handle:
             instance = ProblemInstance.from_json(handle.read(), args.horizon, args.seed)
     else:
-        if args.horizon is None:
-            raise SystemExit("error: --horizon is required with --nus")
         instance = ProblemInstance(args.nus, args.horizon, args.seed if args.seed is not None else 0)
     # Without --out only the final regret is printed, so nothing per-step is kept.
     if not args.out:
@@ -153,7 +151,7 @@ def _cmd_init_stats(args) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     nu = _difficulty(args.nu)
-    rng = split_rng(args.seed)
+    rng = split_rng(_seed(args.seed))
     etas = np.empty(args.reps)
     steps = np.empty(args.reps, dtype=np.int64)
     rows = []
@@ -181,6 +179,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "run" and args.nus is not None and args.horizon is None:
+            parser.error("--horizon is required with --nus")
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {
@@ -191,11 +191,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        return int(exc.code or 0)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

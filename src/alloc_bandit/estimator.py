@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 
+from .model import _positive
+
 WEIGHT_CAP = 1e12
 FULL_ALLOC_RTOL = 1e-12
 
@@ -62,8 +64,7 @@ class EstimatorState:
     )
 
     def __init__(self, nu_lower0: float, delta: float, weighted: bool = True):
-        if not (nu_lower0 > 0 and math.isfinite(nu_lower0)):
-            raise ValueError(f"initial lower bound must be positive and finite, got {nu_lower0}")
+        nu_lower0 = _positive("initial lower bound", nu_lower0)
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self.lower_recip = 1.0 / nu_lower0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocator import PolicyOptions, atomic_write_text, run_episode
 from .initialization import run_modified
-from .model import ProblemInstance, _check_keys, _floats, _integer
+from .model import ProblemInstance, _check_keys, _floats, _integer, _positive
 
 WORKERS_ENV = "ALLOC_BANDIT_THREADS"
 
@@ -47,10 +47,7 @@ class ArmSpec:
             if self.lower_bounds is not None:
                 bounds = _floats("lower_bounds", self.lower_bounds)
                 for i, bound in enumerate(bounds):
-                    if not (bound > 0 and math.isfinite(bound)):
-                        raise ValueError(
-                            f"lower_bounds[{i}] must be positive and finite, got {bound!r}"
-                        )
+                    _positive(f"lower_bounds[{i}]", bound)
                 object.__setattr__(self, "lower_bounds", bounds)
             PolicyOptions(mode=self.mode, delta_override=self.delta_override)
         except ValueError as exc:

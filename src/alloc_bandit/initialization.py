@@ -23,7 +23,7 @@ import numpy as np
 from .allocator import MAX_HALVING_STEPS, PolicyOptions, RunTrace, _simulate
 # Not called here; kept so that bench/tracing.py can wrap this binding by name.
 from .allocator import _allocate_raw  # noqa: F401
-from .model import ProblemInstance, optimal_profile, split_rng
+from .model import ProblemInstance, _positive, optimal_profile, split_rng
 
 
 def halving_init(nu: Optional[float], rng: np.random.Generator) -> tuple:
@@ -34,9 +34,7 @@ def halving_init(nu: Optional[float], rng: np.random.Generator) -> tuple:
     the probe's lower bound is 2^-steps_used, and ``capped`` marks a probe
     stopped by the 64-step guard instead of an observed failure.
     """
-    if nu is not None and not nu > 0:
-        raise ValueError(f"difficulty must be positive or None, got {nu}")
-    recip = 0.0 if nu is None else 1.0 / nu
+    recip = 0.0 if nu is None else 1.0 / _positive("difficulty", nu)
     for t in range(1, MAX_HALVING_STEPS + 1):
         if not rng.random() < 2.0**-t * recip:
             return t, False
@@ -45,10 +43,8 @@ def halving_init(nu: Optional[float], rng: np.random.Generator) -> tuple:
 
 def sample_eta(nu: Optional[float], nu_lower0: float) -> float:
     """Looseness of an initial lower bound: min(1, nu) / nu_lower0."""
-    if not nu_lower0 > 0:
-        raise ValueError(f"lower bound must be positive, got {nu_lower0}")
     top = 1.0 if nu is None else min(1.0, nu)
-    return top / nu_lower0
+    return top / _positive("lower bound", nu_lower0)
 
 
 def run_modified(instance: ProblemInstance, options: PolicyOptions = PolicyOptions()) -> RunTrace:

@@ -4,10 +4,10 @@ A fixed set of K recurring jobs shares a unit budget of resources each
 step. Job k, given resources M_k, completes independently with probability
 ``min(1, M_k / nu_k)`` where nu_k is the job's unknown difficulty cut-off. The budget is replenished every step.
 
-All reciprocal arithmetic uses the convention that an unbounded difficulty
-(a job that can never be completed) has reciprocal 0, so no infinities
-appear in the numerics. In the JSON encoding an unbounded difficulty is a
-``null`` entry.
+All reciprocal arithmetic treats an unbounded difficulty (``null`` in JSON;
+a job that never completes) as reciprocal 0, and ``_positive`` holds every
+other difficulty and lower bound to a positive value with a finite reciprocal
+(5e-324 and 10**400 fail), so no infinities appear in the numerics.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def split_rng(base_seed: int, *branch: int) -> np.random.Generator:
 class ProblemInstance:
     """Hidden environment: job difficulties, horizon and base RNG seed.
 
-    ``nus`` entries are positive reals; ``None`` marks an unbounded
-    difficulty (the job never completes, reciprocal 0). Difficulties need
-    not be sorted; the optimal-allocation oracle sorts internally. A whole
+    ``nus`` entries pass ``_positive`` and are kept as given; ``None`` marks
+    an unbounded difficulty (the job never completes, reciprocal 0). They
+    need not be sorted; the optimal-allocation oracle sorts internally. A whole
     float horizon or seed (4.0) converts to an int; anything else that is
     not an integer is rejected.
     """
@@ -55,18 +55,13 @@ class ProblemInstance:
         if not self.nus:
             raise ValueError("nus must hold at least one difficulty")
         for i, nu in enumerate(self.nus):
-            if nu is None:
-                continue
-            if not (_real(nu) and nu > 0 and math.isfinite(nu)):
-                raise ValueError(f"nus[{i}] must be positive and finite (or None), got {nu!r}")
+            if nu is not None:
+                _positive(f"nus[{i}]", nu)
         horizon = _integer("horizon", self.horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
-        base_seed = _integer("base_seed", self.base_seed)
-        if not 0 <= base_seed < 2**64:
-            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
         object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "base_seed", base_seed)
+        object.__setattr__(self, "base_seed", _seed(self.base_seed))
 
     @property
     def num_jobs(self) -> int:
@@ -110,9 +105,31 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(value) -> int:
+    """``value`` as a base seed: an integer in [0, 2**64)."""
+    seed = _integer("base_seed", value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"base_seed must lie in [0, 2**64), got {value!r}")
+    return seed
+
+
 def _real(value) -> bool:
-    """A real number; bools are not numbers here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number a float can hold: not a bool, not 10**400."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a finite float > 0 whose reciprocal is finite, else an error."""
+    v = float(value) if _real(value) else math.nan
+    if not (v > 0.0 and math.isfinite(v) and math.isfinite(1.0 / v)):
+        raise ValueError(f"{name} must be positive and finite with a finite reciprocal, got {value!r}")
+    return v
 
 
 def _floats(name: str, values) -> tuple:

@@ -172,6 +172,9 @@ class TestRunEpisode:
             run_episode(inst, [0.2])
         with pytest.raises(ValueError):
             run_episode(inst, [0.2, 0.0])
+        # 1/1e-320 is inf, so the fill would give the job nothing.
+        with pytest.raises(ValueError, match="initial lower bound must be positive and finite"):
+            run_episode(inst, [1e-320, 0.3])
         with pytest.raises(ValueError):
             PolicyOptions(mode="other")
         with pytest.raises(ValueError):

@@ -100,8 +100,9 @@ class TestRunCommand:
 
     def test_missing_horizon_fails(self):
         result = invoke("run", "--nus", "0.4,0.6")
-        assert result.returncode != 0
-        assert "horizon" in result.stderr
+        assert result.returncode == 2
+        assert result.stderr.endswith("error: --horizon is required with --nus\n")
+        assert result.stdout == ""
 
     def test_bad_numeric_flag_names_flag(self):
         result = invoke("run", "--nus", "0.4,abc", "--horizon", "10")
@@ -172,6 +173,19 @@ class TestOutputFiles:
         assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == 0o666 & ~umask
         for name in commands:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
+
+    def test_writes_never_touch_the_process_umask(self, tmp_path, monkeypatch):
+        # Setting the umask, even briefly, changes the mode of files other
+        # threads create meanwhile.
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        assert cli.main(["run", "--nus", "0.4,0.6", "--horizon", "20",
+                         "--out", str(tmp_path / "trace.csv")]) == 0
+        assert cli.main(["init-stats", "--nu", "0.5", "--reps", "5",
+                         "--out", str(tmp_path / "init.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["init.csv", "trace.csv"]
 
     def test_missing_directory_error_names_the_requested_path(self, tmp_path):
         out = tmp_path / "missing_dir" / "x.csv"

@@ -81,8 +81,10 @@ class TestHalvingInit:
         assert corr > 0.99
 
     def test_invalid_difficulty(self):
-        with pytest.raises(ValueError):
-            halving_init(0.0, split_rng(0))
+        # inf and 5e-324 (whose reciprocal is inf) are as invalid as 0.
+        for nu in (0.0, float("inf"), 5e-324):
+            with pytest.raises(ValueError, match="difficulty must be positive and finite"):
+                halving_init(nu, split_rng(0))
 
 
 class TestSampleEta:
@@ -92,8 +94,9 @@ class TestSampleEta:
         assert sample_eta(None, 0.5) == 2.0
 
     def test_requires_positive_bound(self):
-        with pytest.raises(ValueError):
-            sample_eta(0.5, 0.0)
+        for bound in (0.0, float("inf"), 5e-324):
+            with pytest.raises(ValueError, match="lower bound must be positive and finite"):
+                sample_eta(0.5, bound)
 
 
 def probe_consumption_by_step(trace):

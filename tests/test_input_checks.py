@@ -41,7 +41,7 @@ def test_arm_delta_of_wrong_type_is_an_error(tmp_path):
     assert result.stderr == "error: arm 'w': delta_override must lie in (0, 1), got 0.1\n"
 
 
-@pytest.mark.parametrize("bound", [-0.2, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("bound", [-0.2, 0.0, math.inf, math.nan, 1e-320])
 def test_arm_lower_bounds_are_checked_when_the_config_is_built(bound):
     pattern = r"arm 'k': lower_bounds\[0\] must be positive and finite"
     with pytest.raises(ValueError, match=pattern):
@@ -104,6 +104,44 @@ def test_init_stats_rejects_reps_below_one(reps):
     assert result.returncode == 1
     assert result.stderr == f"error: --reps must be >= 1, got {reps}\n"
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_init_stats_seed_obeys_the_instance_seed_rule(seed):
+    result = invoke("init-stats", "--nu", "0.5", "--reps", "5", "--seed", seed)
+    assert result.returncode == 1
+    assert result.stderr == f"error: base_seed must lie in [0, 2**64), got {seed}\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--nus", "5e-324,0.6", "--horizon", "5"),
+     "nus[0] must be positive and finite with a finite reciprocal, got 5e-324"),
+    (("--nus", "0.4", "--horizon", "5", "--lower-bounds", "1e-320"),
+     "initial lower bound must be positive and finite with a finite reciprocal, got 1e-320"),
+], ids=["difficulty", "lower-bound"])
+def test_run_rejects_a_number_whose_reciprocal_is_inf(tmp_path, args, message):
+    out = tmp_path / "t.csv"
+    result = invoke("run", *args, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_integer_too_large_for_a_float_is_an_error(tmp_path):
+    huge = 10**400
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"nus": [huge, 0.6], "horizon": 5}))
+    result = invoke("run", "--config", str(instance))
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"error: nus[0] must be positive and finite with a finite reciprocal, got {huge}\n"
+    )
+    experiment = tmp_path / "exp.json"
+    experiment.write_text(json.dumps({**BASE, "grid": [50, huge]}))
+    result = invoke("experiment", "--config", str(experiment))
+    assert result.returncode == 1
+    assert result.stderr == f"error: grid must be a list of numbers, got [50, {huge}]\n"
 
 
 def test_minimax_rejects_reps_below_one():

@@ -67,7 +67,10 @@ class TestInstance:
             ProblemInstance((0.4,), 10, seed)
         assert ProblemInstance((0.4,), 10, 2**64 - 1).base_seed == 2**64 - 1
 
-    @pytest.mark.parametrize("nu", [-0.4, 0.0, float("inf"), float("nan"), "0.4", True])
+    @pytest.mark.parametrize("nu", [
+        -0.4, 0.0, float("inf"), float("nan"), "0.4", True, 5e-324,
+        pytest.param(10**400, id="10**400"),
+    ])
     def test_bad_difficulty_named_by_index(self, nu):
         with pytest.raises(ValueError, match=rf"nus\[1\] must be positive and finite"):
             ProblemInstance((0.4, nu, 0.6), 10)
