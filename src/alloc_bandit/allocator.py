@@ -40,7 +40,7 @@ from .model import (
     OptimalProfile,
     ProblemInstance,
     _allocate_raw,
-    _floats,
+    _bounds,
     optimal_profile,
     split_rng,
 )
@@ -369,12 +369,13 @@ def run_episode(
     bounds 0 < nu_lower0_k <= nu_k.
 
     Violated initial bounds void the confidence guarantees but the runner
-    still executes; a bound that is not a number, or not positive and
-    finite, is rejected before the first step. Jobs receiving zero
-    allocation at a step contribute no information and their estimator is
-    not updated. Deterministic given (instance.base_seed, options.seed).
+    still executes; bounds that are not numbers, or an entry
+    ``initial_lower_bounds[i]`` that is not positive and finite with a finite
+    reciprocal (``model._bounds``), are rejected before the first step. Jobs
+    receiving zero allocation at a step contribute no information and their
+    estimator is not updated. Deterministic given (instance.base_seed, options.seed).
     """
-    lbs = _floats("initial_lower_bounds", initial_lower_bounds)
+    lbs = _bounds("initial_lower_bounds", initial_lower_bounds)
     if len(lbs) != instance.num_jobs:
         raise ValueError(f"expected {instance.num_jobs} initial lower bounds, got {len(lbs)}")
     profile = optimal_profile(instance)

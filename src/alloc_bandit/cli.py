@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .initialization import halving_init, run_modified, sample_eta
-from .model import ProblemInstance, _seed, split_rng
+from .model import ProblemInstance, _count, _seed, split_rng
 
 
 def _difficulty(raw: str):
@@ -37,11 +37,16 @@ def _difficulty(raw: str):
     return None if raw.lower() in ("null", "none", "inf") else float(raw)
 
 
-def _parse_float_list(raw: str) -> tuple:
-    out = [_difficulty(part) for part in raw.split(",") if part.strip()]
+def _parse_float_list(raw: str, item=_difficulty) -> tuple:
+    out = [item(part) for part in raw.split(",") if part.strip()]
     if not out:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     return tuple(out)
+
+
+def _parse_numbers(raw: str) -> tuple:
+    """Plain numbers (lower bounds): ``inf`` is a number, ``null`` an error."""
+    return _parse_float_list(raw, float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=("weighted", "unweighted"), default="weighted")
     run_p.add_argument(
         "--lower-bounds",
-        type=_parse_float_list,
+        type=_parse_numbers,
         help="known initial lower bounds; omit to self-initialize",
     )
     run_p.add_argument("--snapshot-intervals", action="store_true", help="record per-step intervals")
@@ -148,8 +153,7 @@ def _cmd_minimax(args) -> int:
 
 
 def _cmd_init_stats(args) -> int:
-    if args.reps < 1:
-        raise ValueError(f"--reps must be >= 1, got {args.reps}")
+    _count("--reps", args.reps)
     nu = _difficulty(args.nu)
     rng = split_rng(_seed(args.seed))
     etas = np.empty(args.reps)

@@ -20,8 +20,6 @@ from __future__ import annotations
 import json
 import math
 
-from .model import _positive
-
 WEIGHT_CAP = 1e12
 FULL_ALLOC_RTOL = 1e-12
 
@@ -36,8 +34,7 @@ def confidence_radius_f(r_max: float, v2: float, delta: float) -> float:
 
     Strictly increasing in both R and V^2. Natural logarithm throughout.
     The caller keeps the domain: delta in (0, 1) and R, V^2 >= 0 (the
-    estimator checks delta once, at construction, and calls this only with
-    R >= 1 and V^2 > 0).
+    estimator calls this only with R >= 1 and V^2 > 0).
     """
     r1 = r_max + 1.0
     log_term = math.log(2.0 * 3.0 * r1 * r1 * (v2 + 1.0) * (v2 + 1.0) / delta)
@@ -47,7 +44,9 @@ def confidence_radius_f(r_max: float, v2: float, delta: float) -> float:
 
 class EstimatorState:
     """Mutable per-job confidence state. One owner per job; updates are
-    strictly sequential. Distinct jobs' states are independent."""
+    strictly sequential. Distinct jobs' states are independent. Nothing is
+    checked here: the step kernel, the only caller, builds each state from
+    a bound ``model._bounds`` accepted or a probe's 2^-t, and a delta in (0, 1)."""
 
     __slots__ = (
         "lower_recip",
@@ -64,9 +63,6 @@ class EstimatorState:
     )
 
     def __init__(self, nu_lower0: float, delta: float, weighted: bool = True):
-        nu_lower0 = _positive("initial lower bound", nu_lower0)
-        if not (0.0 < delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self.lower_recip = 1.0 / nu_lower0
         self.upper_recip = 0.0
         self.sum_wx = 0.0
@@ -85,21 +81,13 @@ class EstimatorState:
         """Fold in one (allocation, outcome) sample and tighten the interval.
 
         Requires 0 < m <= nu_lower (the policy never allocates past its
-        own lower bound). The weight uses the pre-update upper bound; the
-        variance proxy uses the pre-update lower bound against the full
-        weighted mass. O(1) per call. Mutates and returns self.
+        own lower bound) and x in {0, 1}; nothing checks this. The weight
+        uses the pre-update upper bound; the variance proxy uses the
+        pre-update lower bound against the full weighted mass. O(1) per
+        call. Mutates and returns self.
         """
         lower_prev = self.lower_recip
         nu_lower_prev = 1.0 / lower_prev
-        if not m > 0.0:
-            raise ValueError(f"allocation must be positive, got {m}")
-        if m > nu_lower_prev * (1.0 + FULL_ALLOC_RTOL):
-            raise ValueError(
-                f"allocation {m} exceeds the current lower bound {nu_lower_prev}"
-            )
-        if x not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {x}")
-
         if self.weighted:
             mu = m * self.upper_recip
             if mu >= 1.0 - 1e-12:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -22,7 +23,7 @@ import numpy as np
 
 from .allocator import PolicyOptions, atomic_write_text, run_episode
 from .initialization import run_modified
-from .model import ProblemInstance, _check_keys, _floats, _integer, _positive
+from .model import ProblemInstance, _bounds, _check_keys, _count, _floats, _integer, _seed
 
 WORKERS_ENV = "ALLOC_BANDIT_THREADS"
 
@@ -45,10 +46,7 @@ class ArmSpec:
             if any(c in self.name for c in ',"\r\n'):
                 raise ValueError("name must not contain a comma, a double quote or a line break")
             if self.lower_bounds is not None:
-                bounds = _floats("lower_bounds", self.lower_bounds)
-                for i, bound in enumerate(bounds):
-                    _positive(f"lower_bounds[{i}]", bound)
-                object.__setattr__(self, "lower_bounds", bounds)
+                object.__setattr__(self, "lower_bounds", _bounds("lower_bounds", self.lower_bounds))
             PolicyOptions(mode=self.mode, delta_override=self.delta_override)
         except ValueError as exc:
             raise ValueError(f"arm {self.name!r}: {exc}") from None
@@ -84,12 +82,8 @@ class ExperimentConfig:
             raise ValueError(f"experiment_id must be a string, got {self.experiment_id!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
-        for name in ("replications", "horizon", "base_seed"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _integer(name, value))
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        object.__setattr__(self, "replications", _count("replications", self.replications))
+        object.__setattr__(self, "base_seed", _seed(self.base_seed))
         if not self.arms:
             raise ValueError("arms: need at least one arm")
         names = [arm.name for arm in self.arms]
@@ -104,11 +98,11 @@ class ExperimentConfig:
                 )
         if self.sweep != "horizon":
             idx = self._sweep_index()
-            # The configured difficulties, horizon and seed must make an
-            # instance before the swept job's entry is replaced.
-            ProblemInstance(self.nus, self.horizon, self.base_seed)
             if not (1 <= idx <= len(self.nus)):
                 raise ValueError(f"sweep index {idx} out of range for {len(self.nus)} jobs")
+        # A difficulty sweep needs the horizon; a horizon sweep ignores it.
+        if self.horizon is not None or self.sweep != "horizon":
+            object.__setattr__(self, "horizon", _count("horizon", self.horizon))
         # ProblemInstance owns the instance rules; every grid point must pass them.
         for point, value in enumerate(self.grid):
             try:
@@ -117,12 +111,10 @@ class ExperimentConfig:
                 raise ValueError(f"grid[{point}] = {value!r}: {exc}") from None
 
     def _sweep_index(self) -> int:
-        if not (isinstance(self.sweep, str) and self.sweep.startswith("nu")):
+        # int() alone would also take "nu+2", "nu 2" and non-ASCII digits.
+        if not (isinstance(self.sweep, str) and re.fullmatch("nu[1-9][0-9]*", self.sweep)):
             raise ValueError(f"sweep must be 'horizon' or 'nu<j>', got {self.sweep!r}")
-        try:
-            return int(self.sweep[2:])
-        except ValueError as exc:
-            raise ValueError(f"sweep must be 'horizon' or 'nu<j>', got {self.sweep!r}") from exc
+        return int(self.sweep[2:])
 
     def instance_at(self, point: int) -> ProblemInstance:
         """Problem instance for one grid point (seed is shared; streams are
@@ -296,6 +288,8 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
 def minimax_family(n: int, num_jobs: int, base_seed: int = 0) -> list:
     """Hardest-to-distinguish instance family: in member k every job has
     difficulty 2 except job k at 2/(1+eps), eps = sqrt(K/(8n))."""
+    n = _integer("n", n)
+    num_jobs = _integer("num_jobs", num_jobs)
     if not (num_jobs >= 2 and 8 * n >= num_jobs):
         raise ValueError(f"need 8n >= K >= 2, got n={n}, K={num_jobs}")
     eps = math.sqrt(num_jobs / (8.0 * n))
@@ -337,13 +331,12 @@ def minimax_stress(
     """Empirical worst case over the minimax family: the self-initializing
     policy's mean regret, maximized over family members, and its ratio to
     sqrt(nK)."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = _count("reps", reps)
     family = minimax_family(n, num_jobs, base_seed)
     groups = [(instance, idx, base_seed) for idx, instance in enumerate(family)]
     outcomes = _replicate(_minimax_cell, groups, reps, workers)
     means = tuple(float(np.mean(finals)) for finals, _ in outcomes)
-    return MinimaxStressResult(per_instance_mean=means, n=n, num_jobs=num_jobs, reps=reps)
+    return MinimaxStressResult(means, family[0].horizon, len(family), reps)
 
 
 def _minimax_cell(args) -> tuple:

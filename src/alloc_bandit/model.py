@@ -57,10 +57,7 @@ class ProblemInstance:
         for i, nu in enumerate(self.nus):
             if nu is not None:
                 _positive(f"nus[{i}]", nu)
-        horizon = _integer("horizon", self.horizon)
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
-        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "horizon", _count("horizon", self.horizon))
         object.__setattr__(self, "base_seed", _seed(self.base_seed))
 
     @property
@@ -105,6 +102,14 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an integer count of at least 1."""
+    count = _integer(name, value)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return count
+
+
 def _seed(value) -> int:
     """``value`` as a base seed: an integer in [0, 2**64)."""
     seed = _integer("base_seed", value)
@@ -143,6 +148,14 @@ def _floats(name: str, values) -> tuple:
     if items is None or not all(map(_real, items)):
         raise ValueError(f"{name} must be a list of numbers, got {values!r}")
     return tuple(map(float, items))
+
+
+def _bounds(name: str, values) -> tuple:
+    """Lower bounds: ``_floats``, then ``_positive`` on each entry as ``name[i]``."""
+    bounds = _floats(name, values)
+    for i, bound in enumerate(bounds):
+        _positive(f"{name}[{i}]", bound)
+    return bounds
 
 
 def _check_keys(doc, where: str, known, required) -> None:

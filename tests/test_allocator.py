@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -173,12 +174,19 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             run_episode(inst, [0.2, 0.0])
         # 1/1e-320 is inf, so the fill would give the job nothing.
-        with pytest.raises(ValueError, match="initial lower bound must be positive and finite"):
+        with pytest.raises(ValueError, match=r"initial_lower_bounds\[0\] must be positive and finite"):
             run_episode(inst, [1e-320, 0.3])
         with pytest.raises(ValueError):
             PolicyOptions(mode="other")
         with pytest.raises(ValueError):
             PolicyOptions(delta_override=1.5)
+
+    def test_delta_override_domain(self):
+        # The one check of delta: the estimator and confidence_radius_f trust it.
+        for delta in (0.0, 1.0, math.nan):
+            message = f"delta_override must lie in (0, 1), got {delta}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                PolicyOptions(delta_override=delta)
 
     @pytest.mark.parametrize(
         "bounds", [(0.2, None), (0.2, "x"), 0.2, "0.2,0.3", ["0.2", 0.3], [0.2, True]]

@@ -82,13 +82,20 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("bound", ["inf", "null"])
     def test_unbounded_lower_bound_is_an_error(self, tmp_path, bound):
+        # A lower bound is a plain number: inf fails the bound rule, and
+        # null, which means "unbounded" only for --nus, fails to parse.
         out = tmp_path / "trace.csv"
         result = invoke("run", "--nus", "0.4,0.6", "--horizon", "10",
                         "--lower-bounds", f"0.2,{bound}", "--out", str(out))
-        assert result.returncode == 1
-        assert result.stderr == (
-            "error: initial_lower_bounds must be a list of numbers, got (0.2, None)\n"
-        )
+        if bound == "inf":
+            assert result.returncode == 1
+            assert result.stderr == (
+                "error: initial_lower_bounds[1] must be positive and finite with a finite "
+                "reciprocal, got inf\n"
+            )
+        else:
+            assert result.returncode == 2
+            assert "argument --lower-bounds: invalid" in result.stderr
         assert not out.exists()
 
     def test_nus_and_config_mutually_exclusive(self, tmp_path):

@@ -1,7 +1,11 @@
 """Budget, outcome and regret properties of both runners on degenerate
 instances: K from 1 to 8, every job unbounded, every difficulty above the
 budget, tied difficulties, and horizons both shorter and longer than K (so
-some halving probes never start)."""
+some halving probes never start).
+
+The estimator checks nothing, so its update contract is checked here, on
+the trace: a job that had an estimator before step t is given at most its
+lower bound from step t-1, and every outcome is 0 or 1."""
 
 import numpy as np
 from hypothesis import example, given
@@ -35,9 +39,18 @@ def degenerate_instances(draw):
     return ProblemInstance(tuple(nus), horizon, seed), lower_bounds
 
 
-def check_trace(trace, unbounded: bool) -> None:
+def check_trace(trace, unbounded: bool, initial_lower_bounds=None) -> None:
     M = trace.allocations
     assert np.all(M >= 0.0)
+    assert np.all(trace.observations <= 1)
+    # Lower bounds in force before each step, as reciprocals; 0 marks a job
+    # without an estimator (still probing) whose allocation is not bounded.
+    first = np.zeros(M.shape[1])
+    if initial_lower_bounds is not None:
+        first = 1.0 / np.asarray(initial_lower_bounds)
+    before = np.vstack([first, trace.lower_recips[:-1]])
+    has = before > 0.0
+    assert np.all(M[has] <= (1.0 / before[has]) * (1.0 + 1e-12))
     assert np.all(M.sum(axis=1) <= 1.0 + 1e-12)
     assert np.all(trace.observations[M == 0.0] == 0)
     assert np.all(trace.regrets >= -1e-12)
@@ -54,6 +67,6 @@ def check_trace(trace, unbounded: bool) -> None:
 def test_budget_outcomes_and_regret_on_degenerate_instances(case, mode, seed):
     instance, lower_bounds = case
     unbounded = all(nu is None for nu in instance.nus)
-    options = PolicyOptions(mode=mode, seed=seed)
-    check_trace(run_episode(instance, lower_bounds, options), unbounded)
+    options = PolicyOptions(mode=mode, record="intervals", seed=seed)
+    check_trace(run_episode(instance, lower_bounds, options), unbounded, lower_bounds)
     check_trace(run_modified(instance, options), unbounded)

@@ -52,14 +52,6 @@ class TestConfidenceRadius:
         )
 
 
-class TestConstruction:
-    def test_delta_domain(self):
-        # The one check of delta: confidence_radius_f trusts it afterwards.
-        for delta in (0.0, 1.0, math.nan):
-            with pytest.raises(ValueError, match="delta must lie in"):
-                EstimatorState(0.5, delta)
-
-
 class TestWeight:
     def test_infinite_upper_bound_gives_one(self):
         state = EstimatorState(0.5, 0.01)
@@ -105,15 +97,6 @@ class TestUpdate:
         state.update(0.25, 0)
         assert state.sum_wx == 0.0
         assert state.sum_wm == 0.25
-
-    def test_contract_errors(self):
-        state = EstimatorState(0.5, 0.01)
-        with pytest.raises(ValueError):
-            state.update(0.0, 1)
-        with pytest.raises(ValueError):
-            state.update(0.6, 1)  # above the lower bound
-        with pytest.raises(ValueError):
-            state.update(0.25, 2)
 
     def test_full_allocation_detected_within_tolerance(self):
         state = EstimatorState(0.5, 0.01)

@@ -72,6 +72,12 @@ class TestConfig:
             small_config(sweep="nu3")
         with pytest.raises(ValueError):
             small_config(sweep="nuX")
+        # Only "nu" and a positive ASCII integer: no sign, space, leading
+        # zero or other digits, all of which int() would take.
+        for sweep in ("nu+2", "nu 2", "nu2 ", "nu\u0662", "nu02", "nu0", "nu-1", "nu"):
+            with pytest.raises(ValueError) as info:
+                small_config(sweep=sweep)
+            assert str(info.value) == f"sweep must be 'horizon' or 'nu<j>', got {sweep!r}"
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({
                 "experiment_id": "x", "nus": [0.5], "sweep": "nu1", "grid": [0.5],

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from alloc_bandit.harness import ArmSpec, ExperimentConfig
+from alloc_bandit.harness import ArmSpec, ExperimentConfig, minimax_stress
 from test_cli import invoke
 
 BASE = {"experiment_id": "mini", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [50],
@@ -118,7 +118,7 @@ def test_init_stats_seed_obeys_the_instance_seed_rule(seed):
     (("--nus", "5e-324,0.6", "--horizon", "5"),
      "nus[0] must be positive and finite with a finite reciprocal, got 5e-324"),
     (("--nus", "0.4", "--horizon", "5", "--lower-bounds", "1e-320"),
-     "initial lower bound must be positive and finite with a finite reciprocal, got 1e-320"),
+     "initial_lower_bounds[0] must be positive and finite with a finite reciprocal, got 1e-320"),
 ], ids=["difficulty", "lower-bound"])
 def test_run_rejects_a_number_whose_reciprocal_is_inf(tmp_path, args, message):
     out = tmp_path / "t.csv"
@@ -126,6 +126,33 @@ def test_run_rejects_a_number_whose_reciprocal_is_inf(tmp_path, args, message):
     assert result.returncode == 1
     assert result.stderr == f"error: {message}\n"
     assert not out.exists()
+
+
+# inf and null as lower bounds: tests/test_cli.py::test_unbounded_lower_bound_is_an_error.
+@pytest.mark.parametrize("bounds,shown", [
+    ("0.2,1e-320", "1e-320"), ("0.2,-1", "-1.0"), ("0.2,nan", "nan"),
+])
+def test_run_names_the_lower_bound_that_fails(bounds, shown):
+    result = invoke("run", "--nus", "0.4,0.6", "--horizon", "5", "--lower-bounds", bounds)
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: initial_lower_bounds[1] must be positive and finite with a finite reciprocal, "
+        f"got {shown}\n"
+    )
+
+
+def test_run_lower_bounds_are_plain_numbers():
+    result = invoke("run", "--nus", "0.4,0.6", "--horizon", "5", "--lower-bounds", "0.2,None")
+    assert result.returncode == 2
+    assert result.stderr.endswith(
+        "error: argument --lower-bounds: invalid _parse_numbers value: '0.2,None'\n"
+    )
+
+
+def test_run_nus_null_still_means_unbounded():
+    result = invoke("run", "--nus", "0.4,null", "--horizon", "5", "--lower-bounds", "0.2,0.5")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("run: n=5 K=2 ")
 
 
 def test_an_integer_too_large_for_a_float_is_an_error(tmp_path):
@@ -149,3 +176,34 @@ def test_minimax_rejects_reps_below_one():
     assert result.returncode == 1
     assert result.stderr == "error: reps must be >= 1, got 0\n"
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args,message", [
+    ((10, 2, 2.5), "reps must be an integer, got 2.5"),
+    ((10, 2, True), "reps must be an integer, got True"),
+    ((10, 2.5, 1), "num_jobs must be an integer, got 2.5"),
+    ((10.5, 2, 1), "n must be an integer, got 10.5"),
+])
+def test_minimax_counts_must_be_integers(args, message):
+    with pytest.raises(ValueError) as info:
+        minimax_stress(*args, workers=1)
+    assert str(info.value) == message
+
+
+def test_minimax_whole_float_counts_are_stored_as_ints():
+    result = minimax_stress(10.0, 2.0, 1.0, workers=1)
+    assert (result.n, result.num_jobs, result.reps) == (10, 2, 1)
+    assert all(type(v) is int for v in (result.n, result.num_jobs, result.reps))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"base_seed": -1}, "base_seed must lie in [0, 2**64), got -1"),
+    ({"base_seed": 2**64}, f"base_seed must lie in [0, 2**64), got {2**64}"),
+    ({"horizon": 0}, "horizon must be >= 1, got 0"),
+    ({"replications": 0}, "replications must be >= 1, got 0"),
+])
+def test_horizon_sweep_names_the_field_not_the_grid(overrides, message):
+    # A horizon sweep's grid holds horizons; a bad seed or count is not the grid's fault.
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_json(json.dumps({**BASE, "grid": [300], **overrides}))
+    assert str(info.value) == message
