@@ -41,6 +41,7 @@ from .model import (
     ProblemInstance,
     _allocate_raw,
     _bounds,
+    _seed,
     optimal_profile,
     split_rng,
 )
@@ -65,7 +66,7 @@ RECORD_LEVELS = ("final", "steps", "intervals")
 class PolicyOptions:
     """Knobs for one episode: estimator mode, confidence override, recording
     level (one of ``RECORD_LEVELS``) and the stream index used to derive
-    the episode RNG."""
+    the episode RNG, stored as an int in [0, 2**64) (``model._seed``)."""
 
     mode: str = "weighted"
     delta_override: Optional[float] = None
@@ -80,6 +81,7 @@ class PolicyOptions:
         delta = self.delta_override
         if delta is not None and not (isinstance(delta, numbers.Real) and 0.0 < delta < 1.0):
             raise ValueError(f"delta_override must lie in (0, 1), got {self.delta_override}")
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
 
 
 @dataclass
@@ -217,6 +219,8 @@ def _simulate(
     Each step still advances the draw stream by K, and job k reads the k-th
     draw of its step, so the stream is the one per-step sampling of every
     job would consume; a job given nothing would draw X = 0 regardless.
+    The draws come in blocks of ``_DRAW_BLOCK`` steps, one block taken at
+    every ``_DRAW_BLOCK``-th step.
 
     Returns the trace, recorded at the level ``options.record`` names. Its
     metadata holds ``initial_lower_bounds`` or, for the probing runner,
@@ -267,10 +271,12 @@ def _simulate(
     # a float64 buffer instead of becoming one Python float per draw.
     draws = memoryview(b"")
     pos = 0
+    refill = 0  # the step that takes the next block of draws
+    probe_until = K if probing else 0  # job t's probe starts at step t+1
     # Summed one step at a time, as np.cumsum sums the per-step regrets.
     cum = 0.0
     for t in range(n):
-        if probing and t < K:
+        if t < probe_until:
             probes.append(t)
         if probes or stale:
             probe_total = 0.0
@@ -284,9 +290,10 @@ def _simulate(
             touched.sort()
             stale = False
 
-        if pos >= len(draws):
+        if t == refill:
             draws = memoryview(rng.random(_DRAW_BLOCK * K))
             pos = 0
+            refill += _DRAW_BLOCK
         base = t * K
         reward = 0.0
         for k, mk in touched:

@@ -155,7 +155,7 @@ def _cmd_minimax(args) -> int:
 def _cmd_init_stats(args) -> int:
     _count("--reps", args.reps)
     nu = _difficulty(args.nu)
-    rng = split_rng(_seed(args.seed))
+    rng = split_rng(_seed("base_seed", args.seed))
     etas = np.empty(args.reps)
     steps = np.empty(args.reps, dtype=np.int64)
     rows = []

@@ -12,13 +12,17 @@ arithmetic free of infinities and matches the clamp updates
 where ``recip_hat = sum_s w_s X_s / sum_s w_s M_s`` is the weighted
 reciprocal estimate. The sample weight ``w = 1 / (1 - M / nu_upper)``
 upweights allocations near the cut-off, whose outcomes carry low variance,
-and equals 1 while the upper bound is infinite.
+and equals 1 while the upper bound is infinite. The radius is
+``confidence_radius_f(r_max, v2, delta) / sum_wm``, which ``update``
+computes inline so that a sample costs one call; the tests pin that copy
+to ``confidence_radius_f`` bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from math import log, sqrt
 
 WEIGHT_CAP = 1e12
 FULL_ALLOC_RTOL = 1e-12
@@ -83,42 +87,52 @@ class EstimatorState:
         Requires 0 < m <= nu_lower (the policy never allocates past its
         own lower bound) and x in {0, 1}; nothing checks this. The weight
         uses the pre-update upper bound; the variance proxy uses the
-        pre-update lower bound against the full weighted mass. O(1) per
-        call. Mutates and returns self.
+        pre-update lower bound against the full weighted mass. The radius
+        repeats ``confidence_radius_f``'s operations in the same order, so
+        the two agree bit for bit. O(1) per call. Mutates and returns self.
         """
         lower_prev = self.lower_recip
-        nu_lower_prev = 1.0 / lower_prev
+        upper_prev = self.upper_recip
         if self.weighted:
-            mu = m * self.upper_recip
+            mu = m * upper_prev
             if mu >= 1.0 - 1e-12:
                 w = WEIGHT_CAP
                 self.weight_capped = True
             else:
                 w = 1.0 / (1.0 - mu)
+            sum_wx = self.sum_wx + w * x
+            sum_wm = self.sum_wm + w * m
         else:
             w = 1.0
-
-        self.sum_wx += w * x
-        self.sum_wm += w * m
-        if w > self.r_max:
-            self.r_max = w
+            sum_wx = self.sum_wx + x
+            sum_wm = self.sum_wm + m
+        self.sum_wx = sum_wx
+        self.sum_wm = sum_wm
+        r_max = self.r_max
+        if w > r_max:
+            r_max = self.r_max = w
         self.t += 1
 
-        v2 = self.sum_wm * lower_prev
-        radius = confidence_radius_f(self.r_max, v2, self.delta) / self.sum_wm
-        recip_hat = self.sum_wx / self.sum_wm
+        # confidence_radius_f(r_max, v2, delta) with v1 = v2 + 1.
+        v1 = sum_wm * lower_prev + 1.0
+        r1 = r_max + 1.0
+        log_term = log(2.0 * 3.0 * r1 * r1 * v1 * v1 / self.delta)
+        a = r1 / 3.0 * log_term
+        radius = (a + sqrt(2.0 * v1 * log_term + a * a)) / sum_wm
+        recip_hat = sum_wx / sum_wm
         lower_new = recip_hat + radius
         if lower_new > lower_prev:
             lower_new = lower_prev
         upper_new = recip_hat - radius
-        if upper_new < self.upper_recip:
-            upper_new = self.upper_recip
+        if upper_new < upper_prev:
+            upper_new = upper_prev
         if upper_new > lower_new:
             upper_new = lower_new
             self.collapsed = True
         self.lower_recip = lower_new
         self.upper_recip = upper_new
 
+        nu_lower_prev = 1.0 / lower_prev
         if abs(m - nu_lower_prev) <= FULL_ALLOC_RTOL * nu_lower_prev:
             self.full_alloc_steps += 1
         return self

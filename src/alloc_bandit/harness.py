@@ -83,7 +83,7 @@ class ExperimentConfig:
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         object.__setattr__(self, "replications", _count("replications", self.replications))
-        object.__setattr__(self, "base_seed", _seed(self.base_seed))
+        object.__setattr__(self, "base_seed", _seed("base_seed", self.base_seed))
         if not self.arms:
             raise ValueError("arms: need at least one arm")
         names = [arm.name for arm in self.arms]

@@ -58,7 +58,7 @@ class ProblemInstance:
             if nu is not None:
                 _positive(f"nus[{i}]", nu)
         object.__setattr__(self, "horizon", _count("horizon", self.horizon))
-        object.__setattr__(self, "base_seed", _seed(self.base_seed))
+        object.__setattr__(self, "base_seed", _seed("base_seed", self.base_seed))
 
     @property
     def num_jobs(self) -> int:
@@ -110,11 +110,11 @@ def _count(name: str, value) -> int:
     return count
 
 
-def _seed(value) -> int:
-    """``value`` as a base seed: an integer in [0, 2**64)."""
-    seed = _integer("base_seed", value)
+def _seed(name: str, value) -> int:
+    """``value`` as a seed: an integer in [0, 2**64)."""
+    seed = _integer(name, value)
     if not 0 <= seed < 2**64:
-        raise ValueError(f"base_seed must lie in [0, 2**64), got {value!r}")
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
     return seed
 
 

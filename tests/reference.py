@@ -5,7 +5,9 @@ inline, kept out of the public API.
 pseudo-regret the episode loop fuses into one pass; ``brute_force_optimal``
 cross-checks ``optimal_profile`` by grid search; ``weight`` is the sample
 weight ``EstimatorState.update`` computes inline (it raises where the
-update caps); ``trace_csv_text`` is the row-by-row form of the text
+update caps); ``update`` is that update with its radius taken from
+``confidence_radius_f``, against which the inline radius is checked bit
+for bit; ``trace_csv_text`` is the row-by-row form of the text
 ``RunTrace.to_csv`` writes block-wise; ``simulate_dense`` is the episode
 step loop that samples and records all K jobs every step, against which the
 sparse ``allocator._simulate`` is checked byte for byte.
@@ -31,7 +33,12 @@ from alloc_bandit.allocator import (
     _allocate_raw,
     default_delta,
 )
-from alloc_bandit.estimator import EstimatorState
+from alloc_bandit.estimator import (
+    FULL_ALLOC_RTOL,
+    WEIGHT_CAP,
+    EstimatorState,
+    confidence_radius_f,
+)
 from alloc_bandit.model import OptimalProfile, ProblemInstance, optimal_profile
 
 BUDGET_TOL = 1e-9
@@ -176,6 +183,47 @@ def weight(state, m: float) -> float:
             f"allocation {m} too close to the upper bound {1.0 / state.upper_recip}"
         )
     return 1.0 / (1.0 - mu)
+
+
+def update(state: EstimatorState, m: float, x: int) -> EstimatorState:
+    """``EstimatorState.update`` written out attribute by attribute, with
+    the radius from ``confidence_radius_f`` rather than computed inline."""
+    lower_prev = state.lower_recip
+    nu_lower_prev = 1.0 / lower_prev
+    if state.weighted:
+        mu = m * state.upper_recip
+        if mu >= 1.0 - 1e-12:
+            w = WEIGHT_CAP
+            state.weight_capped = True
+        else:
+            w = 1.0 / (1.0 - mu)
+    else:
+        w = 1.0
+
+    state.sum_wx += w * x
+    state.sum_wm += w * m
+    if w > state.r_max:
+        state.r_max = w
+    state.t += 1
+
+    v2 = state.sum_wm * lower_prev
+    radius = confidence_radius_f(state.r_max, v2, state.delta) / state.sum_wm
+    recip_hat = state.sum_wx / state.sum_wm
+    lower_new = recip_hat + radius
+    if lower_new > lower_prev:
+        lower_new = lower_prev
+    upper_new = recip_hat - radius
+    if upper_new < state.upper_recip:
+        upper_new = state.upper_recip
+    if upper_new > lower_new:
+        upper_new = lower_new
+        state.collapsed = True
+    state.lower_recip = lower_new
+    state.upper_recip = upper_new
+
+    if abs(m - nu_lower_prev) <= FULL_ALLOC_RTOL * nu_lower_prev:
+        state.full_alloc_steps += 1
+    return state
 
 
 def trace_csv_text(trace) -> str:

@@ -189,6 +189,31 @@ class TestRunEpisode:
                 PolicyOptions(delta_override=delta)
 
     @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, "seed must be an integer, got True"),
+            ("3", "seed must be an integer, got '3'"),
+            (2.5, "seed must be an integer, got 2.5"),
+            (-1, "seed must lie in [0, 2**64), got -1"),
+            (2**64, f"seed must lie in [0, 2**64), got {2**64}"),
+        ],
+        ids=["bool", "str", "fraction", "negative", "2**64"],
+    )
+    def test_seed_domain(self, seed, message):
+        # Checked where it enters, with the field named, not in split_rng.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PolicyOptions(seed=seed)
+
+    def test_whole_float_seed_stored_as_int(self):
+        options = PolicyOptions(seed=3.0)
+        assert type(options.seed) is int and options.seed == 3
+        trace = run_episode(ProblemInstance((0.4, 0.6), 5, 0), (0.2, 0.3), options)
+        assert type(trace.metadata["seed"]) is int
+        assert trace.metadata == run_episode(
+            ProblemInstance((0.4, 0.6), 5, 0), (0.2, 0.3), PolicyOptions(seed=3)
+        ).metadata
+
+    @pytest.mark.parametrize(
         "bounds", [(0.2, None), (0.2, "x"), 0.2, "0.2,0.3", ["0.2", 0.3], [0.2, True]]
     )
     def test_non_numeric_lower_bounds_rejected(self, bounds):

@@ -3,12 +3,13 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloc_bandit.allocator import PolicyOptions, run_episode
 from alloc_bandit.estimator import EstimatorState, confidence_radius_f
 from alloc_bandit.model import ProblemInstance, split_rng
+import reference
 from reference import WeightOverflowError, weight
 
 
@@ -180,6 +181,71 @@ class TestTrajectoryInvariants:
             x = data.draw(st.integers(0, 1), label=f"x{i}")
             state.update(m, x)
             assert state.lower_recip - state.upper_recip >= 0.0
+
+
+@st.composite
+def update_sequences(draw):
+    """A state's start and a run of updates. Each step allocates a fraction
+    of the current lower bound (1.0: the whole bound) with an arbitrary
+    outcome, repeated up to 64 times, so runs reach the tight intervals
+    where the radius decides the bounds. Runs where every allocation
+    succeeds push the estimate above the lower bound, so at a loose delta
+    they collapse; the closing full allocation then caps the weight."""
+    weighted = draw(st.booleans())
+    nu_lower0 = draw(st.floats(0.01, 1.0))
+    delta = draw(st.sampled_from([0.5, 1e-3]) | st.floats(1e-12, 0.999))
+    outcome = st.just(1) if draw(st.booleans()) else st.integers(0, 1)
+    fraction = st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0)
+    runs = draw(st.lists(st.tuples(fraction, outcome, st.integers(1, 64)), min_size=1, max_size=30))
+    steps = [(frac, x) for frac, x, repeat in runs for _ in range(repeat)] + [(1.0, 1)]
+    return weighted, nu_lower0, delta, steps
+
+
+def assert_updates_match_reference(weighted, nu_lower0, delta, steps) -> EstimatorState:
+    """Apply ``steps`` through the library's update and through
+    ``reference.update``; after every update every slot, flags included,
+    must agree bit for bit."""
+    state = EstimatorState(nu_lower0, delta, weighted=weighted)
+    oracle = EstimatorState(nu_lower0, delta, weighted=weighted)
+    for i, (frac, x) in enumerate(steps):
+        m = frac / state.lower_recip
+        state.update(m, x)
+        reference.update(oracle, m, x)
+        assert state.snapshot() == oracle.snapshot(), f"update {i}: m={m!r}, x={x}"
+    return state
+
+
+class TestInlineRadius:
+    """``EstimatorState.update`` computes ``confidence_radius_f`` inline;
+    the reference update calls it, and the two must not drift apart."""
+
+    @settings(max_examples=200)
+    @given(update_sequences())
+    def test_bit_identical_to_reference(self, run):
+        assert_updates_match_reference(*run)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_collapse_then_weight_cap(self, weighted):
+        # A bound of 0.9 above a difficulty of at most 0.45: every
+        # allocation of half the bound succeeds, the estimate passes the
+        # lower bound and with delta = 0.5 the interval collapses; the
+        # whole bound is then within 1e-12 of 1/U.
+        steps = [(0.5, 1)] * 200 + [(1.0, 1), (1.0, 0), (0.5, 1)]
+        state = assert_updates_match_reference(weighted, 0.9, 0.5, steps)
+        assert state.collapsed
+        assert state.weight_capped == weighted
+
+    def test_weight_cap_within_tolerance(self):
+        # m within 1e-12 of 1/U caps the weight without a collapse.
+        state = EstimatorState(0.5, 0.01)
+        oracle = EstimatorState(0.5, 0.01)
+        for s in (state, oracle):
+            s.lower_recip = 2.0
+            s.upper_recip = 2.0 * (1.0 - 5e-13)
+        state.update(0.5, 1)
+        reference.update(oracle, 0.5, 1)
+        assert state.weight_capped and not state.collapsed
+        assert state.snapshot() == oracle.snapshot()
 
 
 # Snapshot key -> EstimatorState slot; every slot has a key.
