@@ -21,7 +21,13 @@ How much of an episode is kept is one recording level (``PolicyOptions.
 record``): ``"final"`` keeps only the final cumulative regret and the
 estimators, which is all a Monte-Carlo cell needs; ``"steps"`` adds the
 per-step allocations, outcomes and regrets a trace CSV is written from;
-``"intervals"`` adds the per-step confidence intervals.
+``"intervals"`` adds the per-step confidence intervals. Since a fill holds
+until the next one, the loop records no step-by-step columns: at
+``"steps"`` it keeps each fill's step and row and its draw blocks, and the
+columns are rebuilt from them after the loop with the loop's own
+arithmetic; at ``"intervals"`` it writes a job's interval only at the steps
+the job receives resources, and each column is carried forward after the
+loop.
 """
 
 from __future__ import annotations
@@ -127,35 +133,45 @@ class RunTrace:
         """The CSV text in pieces: the header, then ``_CSV_BLOCK`` rows at a
         time.
 
-        Per block the float columns are stacked and ``repr`` runs once per
-        distinct bit pattern (so -0.0, nan and inf print as ``repr`` prints
-        them); the cell strings are then gathered back into place.
+        Per block each column becomes a list of cell strings, and the rows
+        are joined from those lists. A float column is split into runs of
+        equal bit patterns and ``repr`` runs once per run (so -0.0, nan and
+        inf print as ``repr`` prints them): the columns are step series
+        that mostly change only now and then.
         """
         n, K = self.allocations.shape
         cols = ["t"]
         cols += [f"M_{k + 1}" for k in range(K)]
         cols += [f"X_{k + 1}" for k in range(K)]
         cols += ["r_t", "cumregret"]
-        float_cols = [self.allocations, self.regrets[:, None], self.cum_regrets[:, None]]
+        # The float columns after the outcomes, in column order.
+        tail = [self.regrets, self.cum_regrets]
         if self.lower_recips is not None:
             cols += [f"L_{k + 1}" for k in range(K)]
             cols += [f"U_{k + 1}" for k in range(K)]
-            float_cols += [self.lower_recips, self.upper_recips]
+            tail += [self.lower_recips[:, k] for k in range(K)]
+            tail += [self.upper_recips[:, k] for k in range(K)]
         bits_table = np.array(["0", "1"], dtype=object)
         yield ",".join(cols) + "\n"
         for start in range(0, n, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, n)
-            floats = np.concatenate([c[start:stop] for c in float_cols], axis=1, dtype=np.float64)
-            patterns, inverse = np.unique(floats.view(np.uint64), return_inverse=True)
-            texts = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
-            cells = np.empty((stop - start, len(cols)), dtype=object)
-            cells[:, 0] = list(map(str, range(start + 1, stop + 1)))
-            # Column order: t, M (K), X (K), then r_t, cumregret, L, U.
-            gathered = texts[inverse.reshape(floats.shape)]
-            cells[:, 1 : 1 + K] = gathered[:, :K]
-            cells[:, 1 + K : 1 + 2 * K] = bits_table[self.observations[start:stop]]
-            cells[:, 1 + 2 * K :] = gathered[:, K:]
-            yield "\n".join(map(",".join, cells.tolist())) + "\n"
+            columns = [list(map(str, range(start + 1, stop + 1)))]
+            columns += [_run_texts(self.allocations[start:stop, k]) for k in range(K)]
+            outcomes = bits_table[self.observations[start:stop]]
+            columns += [outcomes[:, k].tolist() for k in range(K)]
+            columns += [_run_texts(values[start:stop]) for values in tail]
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _run_texts(values: np.ndarray) -> list:
+    """``repr`` of each float in ``values``, computed once per run of equal
+    bit patterns."""
+    bits = values.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = list(map(repr, values[starts].tolist()))
+    if len(texts) == len(values):
+        return texts
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(values))).tolist()
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -222,6 +238,13 @@ def _simulate(
     The draws come in blocks of ``_DRAW_BLOCK`` steps, one block taken at
     every ``_DRAW_BLOCK``-th step.
 
+    The loop records nothing per step. At ``"steps"`` it records, on each
+    step that computes a fill, the step and the fill's allocation row, and
+    keeps the draw blocks; ``_record_steps`` then builds the allocation,
+    outcome and regret columns from them. At ``"intervals"`` it also writes
+    each job's post-update interval at the steps the job receives
+    resources, and ``_carry_intervals`` fills the other steps.
+
     Returns the trace, recorded at the level ``options.record`` names. Its
     metadata holds ``initial_lower_bounds`` or, for the probing runner,
     ``init_records``: one dict per finished probe, in job order, with the
@@ -253,18 +276,19 @@ def _simulate(
     probes: list = []  # jobs whose probe is running, in job order
 
     if steps:
-        # Flat step-major n x K buffers, allocated once and zero until
-        # written: a job that gets no resources at a step keeps M = 0 and
-        # X = 0 there.
+        # A fill holds until the next one, so the steps that computed one,
+        # their allocation rows in a flat step-major n x K buffer (zero
+        # elsewhere) and the draw blocks fix every per-step allocation,
+        # outcome and regret (``_record_steps``).
+        fill_steps = array("q")
         allocations = array("d", [0.0]) * (n * K)
-        observations = array("B", [0]) * (n * K)
-        regrets = array("d", [0.0]) * n
+        blocks: list = []
     if intervals:
-        # Current interval row (0.0 for a job without an estimator), copied
-        # into the history every step and changed only where a job changed.
-        lower_row = array("d", [0.0 if s is None else s.lower_recip for s in states])
-        upper_row = array("d", [0.0]) * K
-        lower_hist = array("d", [0.0]) * (n * K)
+        # Flat step-major n x K interval history, starting as the initial
+        # row (known bounds' reciprocals, or 0.0 for a job without an
+        # estimator) and written only where a job received resources;
+        # ``_carry_intervals`` fills in the other steps.
+        lower_hist = array("d", [0.0 if s is None else s.lower_recip for s in states]) * n
         upper_hist = array("d", [0.0]) * (n * K)
 
     # A step reads only the draws of the jobs it touches, so the block stays
@@ -289,19 +313,22 @@ def _simulate(
             # order in which rewards are summed.
             touched.sort()
             stale = False
+            if steps:
+                fill_steps.append(t)
+                for k, mk in touched:
+                    allocations[t * K + k] = mk
 
         if t == refill:
-            draws = memoryview(rng.random(_DRAW_BLOCK * K))
+            block = rng.random(_DRAW_BLOCK * K)
+            if steps:
+                blocks.append(block)
+            draws = memoryview(block)
             pos = 0
             refill += _DRAW_BLOCK
-        base = t * K
         reward = 0.0
         for k, mk in touched:
             p = mk * recips[k]
             x = 1 if draws[pos + k] < p else 0
-            if steps:
-                allocations[base + k] = mk
-                observations[base + k] = x
             reward += p if p < 1.0 else 1.0
             s = states[k]
             if s is None:
@@ -328,19 +355,13 @@ def _simulate(
                     insort(order, (1.0 / s.lower_recip, k))
                     stale = True
             if intervals:
-                lower_row[k] = s.lower_recip
-                upper_row[k] = s.upper_recip
+                lower_hist[t * K + k] = s.lower_recip
+                upper_hist[t * K + k] = s.upper_recip
         # Every step consumes K draws, one per job in job order.
         pos += K
         if probes:
             probes = [k for k in probes if states[k] is None]
-        regret = rho_star - reward
-        cum += regret
-        if steps:
-            regrets[t] = regret
-        if intervals:
-            lower_hist[base : base + K] = lower_row
-            upper_hist[base : base + K] = upper_row
+        cum += rho_star - reward
 
     metadata = {
         "instance": instance.digest(),
@@ -358,13 +379,65 @@ def _simulate(
     trace = RunTrace(estimators=states, metadata=metadata, final_regret=cum)
     if steps:
         trace.allocations = np.frombuffer(allocations).reshape(n, K)
-        trace.observations = np.frombuffer(observations, np.uint8).reshape(n, K)
-        trace.regrets = np.frombuffer(regrets)
-        trace.cum_regrets = np.cumsum(trace.regrets)
+        _record_steps(trace, np.frombuffer(fill_steps, np.int64), blocks, recips, rho_star)
     if intervals:
         trace.lower_recips = np.frombuffer(lower_hist).reshape(n, K)
         trace.upper_recips = np.frombuffer(upper_hist).reshape(n, K)
+        _carry_intervals(trace)
     return trace
+
+
+def _record_steps(trace: RunTrace, fill_steps: np.ndarray, blocks: list,
+                  recips: Sequence[float], rho_star: float) -> None:
+    """Complete the trace's per-step columns from what the step loop kept:
+    ``trace.allocations`` holding the row of each step in ``fill_steps``
+    (the steps that computed a fill, in order) and zeros elsewhere, and the
+    draw blocks it took, with the loop's own arithmetic.
+
+    A fill holds until the next one, so each step's allocation row is its
+    fill's row, carried forward in place, and so is its regret: the loop
+    sums a fill's rewards in job order, as the column loop below does (a
+    job given nothing adds 0.0, which leaves the sum unchanged). An outcome
+    is ``draw < M_k * (1 / nu_k)``, the loop's product and comparison; a
+    job given nothing draws X = 0. The draw blocks are consumed one at a
+    time, so each is released once its outcomes are written.
+    """
+    allocations = trace.allocations
+    n, K = allocations.shape
+    lengths = np.diff(fill_steps, append=n)
+    fill_of = np.repeat(fill_steps, lengths)  # the step each step's fill was computed at
+    reward = np.zeros(len(fill_steps))
+    for k in range(K):
+        column = allocations[:, k]
+        reward += np.minimum(column[fill_steps] * recips[k], 1.0)
+        column[:] = column[fill_of]
+    del fill_of
+    trace.regrets = np.repeat(rho_star - reward, lengths)
+    trace.cum_regrets = np.cumsum(trace.regrets)
+
+    trace.observations = np.empty((n, K), np.uint8)
+    hits = trace.observations.view(np.bool_)
+    recips = np.array(recips)
+    for b, start in enumerate(range(0, n, _DRAW_BLOCK)):
+        stop = min(start + _DRAW_BLOCK, n)
+        draws, blocks[b] = blocks[b], None
+        rows = draws[: (stop - start) * K].reshape(stop - start, K)
+        np.less(rows, allocations[start:stop] * recips, out=hits[start:stop])
+
+
+def _carry_intervals(trace: RunTrace) -> None:
+    """Carry each job's interval column forward from its last step with
+    M_k > 0, in place: the step loop writes a job's interval only at the
+    steps it receives resources (after any update), and the rows before a
+    job's first such step already hold the initial row."""
+    n = len(trace.allocations)
+    step = np.arange(n)
+    for k in range(trace.allocations.shape[1]):
+        last = np.where(trace.allocations[:, k] > 0.0, step, 0)
+        np.maximum.accumulate(last, out=last)
+        for hist in (trace.lower_recips, trace.upper_recips):
+            column = hist[:, k]
+            column[:] = column[last]
 
 
 def run_episode(

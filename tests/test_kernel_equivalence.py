@@ -10,7 +10,7 @@ snapshot and diagnostic flags.
 Instances are random: K in {1, 2, 3, 8, 32}, difficulties drawn partly
 from a short list so that ties are common, some unbounded jobs, known lower
 bounds that are sometimes violated, and horizons of 1, n < K, a few hundred
-steps and just past the 1024-step draw-block refill.
+steps, just past the 1024-step draw-block refill and exactly two blocks.
 """
 
 import json
@@ -25,7 +25,7 @@ from alloc_bandit.model import ProblemInstance
 from reference import simulate_dense
 
 TIE_POOL = (0.05, 0.25, 0.5, 0.5, 0.9, 2.0)
-HORIZON_KINDS = ("n1", "n_lt_k", "mid", "refill")
+HORIZON_KINDS = ("n1", "n_lt_k", "mid", "refill", "two_blocks")
 
 
 def random_case(K: int, horizon_kind: str):
@@ -52,6 +52,7 @@ def random_case(K: int, horizon_kind: str):
         "n_lt_k": max(1, K - 1 - int(g.integers(0, K))),
         "mid": int(g.integers(50, 400)),
         "refill": int(g.integers(1025, 1100)),
+        "two_blocks": 2 * allocator._DRAW_BLOCK,
     }[horizon_kind]
     extra = {"seed": int(g.integers(0, 2**32))}
     if g.random() < 0.3:
@@ -104,3 +105,4 @@ def test_cases_cover_the_degenerate_instances():
     assert any(len(set(inst.nus)) < inst.num_jobs for inst in instances)
     assert any(inst.horizon < inst.num_jobs for inst in instances)
     assert any(inst.horizon > allocator._DRAW_BLOCK for inst in instances)
+    assert any(inst.horizon == 2 * allocator._DRAW_BLOCK for inst in instances)

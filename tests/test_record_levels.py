@@ -11,9 +11,16 @@ cumulative regret column, bit for bit.
 Instances are the golden cases of ``test_kernel_golden`` plus drawn ones:
 K up to 32, n = 1, n < K, unbounded jobs, tied difficulties and violated
 known bounds.
+
+The per-step arrays have fixed types and shapes (the CSV writer indexes a
+text table with the outcomes, which a bool array would turn into a mask),
+and recording them costs memory in proportion to what is returned.
 """
 
+import tracemalloc
 from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given
@@ -117,3 +124,54 @@ def test_final_trace_writes_no_csv(tmp_path):
     with pytest.raises(ValueError, match="'final'"):
         trace.to_csv(str(tmp_path / "trace.csv"))
     assert list(tmp_path.iterdir()) == []
+
+
+def shared_instance(K: int, horizon: int) -> tuple:
+    """K jobs with difficulties from 0.3 up to 0.6, so a few jobs share each
+    fill, and known bounds at half the difficulty."""
+    nus = tuple(0.3 * (1 + k / K) for k in range(K))
+    return ProblemInstance(nus, horizon, 7), tuple(v / 2 for v in nus)
+
+
+@pytest.mark.parametrize("level", ["steps", "intervals"])
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("K", [1, 2, 32])
+def test_per_step_array_types(K, runner, level):
+    n = 300
+    instance, lower_bounds = shared_instance(K, n)
+    trace = run(runner, instance, lower_bounds, PolicyOptions(record=level))
+    expected = {
+        "allocations": (np.float64, (n, K)),
+        "observations": (np.uint8, (n, K)),
+        "regrets": (np.float64, (n,)),
+        "cum_regrets": (np.float64, (n,)),
+    }
+    if level == "intervals":
+        expected["lower_recips"] = (np.float64, (n, K))
+        expected["upper_recips"] = (np.float64, (n, K))
+    for name in PER_STEP:
+        array = getattr(trace, name)
+        if name not in expected:
+            assert array is None, name
+            continue
+        assert (array.dtype, array.shape) == expected[name], name
+
+
+@pytest.mark.parametrize("level", ["steps", "intervals"])
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("K,n", [(2, 20_000), (8, 20_000), (32, 5_000)])
+def test_recording_memory_follows_the_returned_arrays(K, n, runner, level):
+    instance, lower_bounds = shared_instance(K, n)
+    options = PolicyOptions(record=level)
+    # A short untraced run first, so that one-time costs (imports, caches)
+    # stay out of the peak.
+    run(runner, *shared_instance(K, 100), options)
+    tracemalloc.start()
+    try:
+        trace = run(runner, instance, lower_bounds, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(getattr(trace, name).nbytes for name in PER_STEP
+                   if getattr(trace, name) is not None)
+    assert peak <= 2.5 * returned, (peak, returned)
