@@ -21,7 +21,6 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
