@@ -22,12 +22,8 @@ record``): ``"final"`` keeps only the final cumulative regret and the
 estimators, which is all a Monte-Carlo cell needs; ``"steps"`` adds the
 per-step allocations, outcomes and regrets a trace CSV is written from;
 ``"intervals"`` adds the per-step confidence intervals. Since a fill holds
-until the next one, the loop records no step-by-step columns: at
-``"steps"`` it keeps each fill's step and row and its draw blocks, and the
-columns are rebuilt from them after the loop with the loop's own
-arithmetic; at ``"intervals"`` it writes a job's interval only at the steps
-the job receives resources, and each column is carried forward after the
-loop.
+until the next one, the loop records no step-by-step columns; see
+``_simulate`` for what it keeps instead.
 """
 
 from __future__ import annotations
@@ -229,7 +225,8 @@ def _simulate(
     take their share first, the main policy fills the rest over the fill
     order of jobs that have an estimator, one outcome is sampled per job
     that received resources, and only main-policy outcomes update
-    estimators. Pseudo-regret is charged from step 1.
+    estimators. Pseudo-regret is charged from step 1; a fill's regret is
+    computed with the fill and charged on every step the fill holds.
 
     Per-step work scales with the jobs that receive resources, not with K.
     Each step still advances the draw stream by K, and job k reads the k-th
@@ -239,11 +236,11 @@ def _simulate(
     every ``_DRAW_BLOCK``-th step.
 
     The loop records nothing per step. At ``"steps"`` it records, on each
-    step that computes a fill, the step and the fill's allocation row, and
-    keeps the draw blocks; ``_record_steps`` then builds the allocation,
-    outcome and regret columns from them. At ``"intervals"`` it also writes
-    each job's post-update interval at the steps the job receives
-    resources, and ``_carry_intervals`` fills the other steps.
+    step that computes a fill, the step, the fill's allocation row and its
+    regret, and keeps the draw blocks; ``_record_steps`` then builds the
+    per-step columns from them. At ``"intervals"`` it also writes each
+    job's post-update interval at the steps the job receives resources, and
+    ``_carry_intervals`` fills the other steps.
 
     Returns the trace, recorded at the level ``options.record`` names. Its
     metadata holds ``initial_lower_bounds`` or, for the probing runner,
@@ -277,10 +274,11 @@ def _simulate(
 
     if steps:
         # A fill holds until the next one, so the steps that computed one,
-        # their allocation rows in a flat step-major n x K buffer (zero
-        # elsewhere) and the draw blocks fix every per-step allocation,
-        # outcome and regret (``_record_steps``).
+        # their regrets, their allocation rows in a flat step-major n x K
+        # buffer (zero elsewhere) and the draw blocks fix every per-step
+        # column (``_record_steps``).
         fill_steps = array("q")
+        fill_regrets = array("d")
         allocations = array("d", [0.0]) * (n * K)
         blocks: list = []
     if intervals:
@@ -313,8 +311,15 @@ def _simulate(
             # order in which rewards are summed.
             touched.sort()
             stale = False
+            # A fill holds until the next one, and so does its regret.
+            reward = 0.0
+            for k, mk in touched:
+                p = mk * recips[k]
+                reward += p if p < 1.0 else 1.0
+            regret = rho_star - reward
             if steps:
                 fill_steps.append(t)
+                fill_regrets.append(regret)
                 for k, mk in touched:
                     allocations[t * K + k] = mk
 
@@ -325,11 +330,8 @@ def _simulate(
             draws = memoryview(block)
             pos = 0
             refill += _DRAW_BLOCK
-        reward = 0.0
         for k, mk in touched:
-            p = mk * recips[k]
-            x = 1 if draws[pos + k] < p else 0
-            reward += p if p < 1.0 else 1.0
+            x = 1 if draws[pos + k] < mk * recips[k] else 0
             s = states[k]
             if s is None:
                 # A probing job has no estimator yet; its outcome feeds the probe.
@@ -361,7 +363,7 @@ def _simulate(
         pos += K
         if probes:
             probes = [k for k in probes if states[k] is None]
-        cum += rho_star - reward
+        cum += regret
 
     metadata = {
         "instance": instance.digest(),
@@ -379,7 +381,8 @@ def _simulate(
     trace = RunTrace(estimators=states, metadata=metadata, final_regret=cum)
     if steps:
         trace.allocations = np.frombuffer(allocations).reshape(n, K)
-        _record_steps(trace, np.frombuffer(fill_steps, np.int64), blocks, recips, rho_star)
+        _record_steps(trace, np.frombuffer(fill_steps, np.int64), np.frombuffer(fill_regrets),
+                      blocks, recips)
     if intervals:
         trace.lower_recips = np.frombuffer(lower_hist).reshape(n, K)
         trace.upper_recips = np.frombuffer(upper_hist).reshape(n, K)
@@ -387,32 +390,28 @@ def _simulate(
     return trace
 
 
-def _record_steps(trace: RunTrace, fill_steps: np.ndarray, blocks: list,
-                  recips: Sequence[float], rho_star: float) -> None:
+def _record_steps(trace: RunTrace, fill_steps: np.ndarray, fill_regrets: np.ndarray,
+                  blocks: list, recips: Sequence[float]) -> None:
     """Complete the trace's per-step columns from what the step loop kept:
     ``trace.allocations`` holding the row of each step in ``fill_steps``
-    (the steps that computed a fill, in order) and zeros elsewhere, and the
-    draw blocks it took, with the loop's own arithmetic.
+    (the steps that computed a fill, in order) and zeros elsewhere, each
+    fill's regret, and the draw blocks it took.
 
-    A fill holds until the next one, so each step's allocation row is its
-    fill's row, carried forward in place, and so is its regret: the loop
-    sums a fill's rewards in job order, as the column loop below does (a
-    job given nothing adds 0.0, which leaves the sum unchanged). An outcome
-    is ``draw < M_k * (1 / nu_k)``, the loop's product and comparison; a
-    job given nothing draws X = 0. The draw blocks are consumed one at a
-    time, so each is released once its outcomes are written.
+    A fill holds until the next one, so each step's allocation row and
+    regret are its fill's, carried forward. An outcome is
+    ``draw < M_k * (1 / nu_k)``, the loop's product and comparison; a job
+    given nothing draws X = 0. The draw blocks are consumed one at a time,
+    so each is released once its outcomes are written.
     """
     allocations = trace.allocations
     n, K = allocations.shape
     lengths = np.diff(fill_steps, append=n)
     fill_of = np.repeat(fill_steps, lengths)  # the step each step's fill was computed at
-    reward = np.zeros(len(fill_steps))
     for k in range(K):
         column = allocations[:, k]
-        reward += np.minimum(column[fill_steps] * recips[k], 1.0)
         column[:] = column[fill_of]
     del fill_of
-    trace.regrets = np.repeat(rho_star - reward, lengths)
+    trace.regrets = np.repeat(fill_regrets, lengths)
     trace.cum_regrets = np.cumsum(trace.regrets)
 
     trace.observations = np.empty((n, K), np.uint8)

@@ -185,6 +185,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "run" and args.nus is not None and args.horizon is None:
             parser.error("--horizon is required with --nus")
+        if args.command == "run" and args.snapshot_intervals and not args.out:
+            parser.error("--out is required with --snapshot-intervals")
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

@@ -1,8 +1,9 @@
 """Test oracles: slow, direct restatements of what the library computes
 inline, kept out of the public API.
 
-``sample_step`` and ``instantaneous_regret`` are the per-step sampling and
-pseudo-regret the episode loop fuses into one pass; ``brute_force_optimal``
+``sample_step`` and ``instantaneous_regret`` are one step's sampling and
+pseudo-regret over all K jobs, which the episode loop computes only for
+the jobs it funds, the regret once per fill; ``brute_force_optimal``
 cross-checks ``optimal_profile`` by grid search; ``weight`` is the sample
 weight ``EstimatorState.update`` computes inline (it raises where the
 update caps); ``update`` is that update with its radius taken from

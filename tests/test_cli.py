@@ -111,6 +111,15 @@ class TestRunCommand:
         assert result.stderr.endswith("error: --horizon is required with --nus\n")
         assert result.stdout == ""
 
+    def test_snapshot_intervals_without_out_fails(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--nus", "0.4,0.6", "--horizon", "10", "--snapshot-intervals"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("error: --out is required with --snapshot-intervals\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_numeric_flag_names_flag(self):
         result = invoke("run", "--nus", "0.4,abc", "--horizon", "10")
         assert result.returncode != 0
@@ -144,10 +153,9 @@ class TestRunCommand:
                 return real(instance, *args)
 
             monkeypatch.setattr(cli, name, recording)
-        argv = ["run", "--nus", "0.4,0.6", "--horizon", "3000", "--seed", "5",
-                "--snapshot-intervals", *bounds]
+        argv = ["run", "--nus", "0.4,0.6", "--horizon", "3000", "--seed", "5", *bounds]
         out = tmp_path / "trace.csv"
-        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert cli.main(argv + ["--snapshot-intervals", "--out", str(out)]) == 0
         with_out = capsys.readouterr().out
         assert cli.main(argv) == 0
         without_out = capsys.readouterr().out

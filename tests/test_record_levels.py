@@ -14,7 +14,8 @@ known bounds.
 
 The per-step arrays have fixed types and shapes (the CSV writer indexes a
 text table with the outcomes, which a bool array would turn into a mask),
-and recording them costs memory in proportion to what is returned.
+and recording them costs memory in proportion to what is returned. At
+``"final"`` the memory does not grow with the horizon.
 """
 
 import tracemalloc
@@ -174,3 +175,23 @@ def test_recording_memory_follows_the_returned_arrays(K, n, runner, level):
     returned = sum(getattr(trace, name).nbytes for name in PER_STEP
                    if getattr(trace, name) is not None)
     assert peak <= 2.5 * returned, (peak, returned)
+
+
+def traced_peak(runner, K, n, options):
+    instance, lower_bounds = shared_instance(K, n)
+    tracemalloc.start()
+    try:
+        run(runner, instance, lower_bounds, options)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("K", [2, 32])
+def test_final_keeps_no_per_step_buffer(K, runner):
+    options = PolicyOptions(record="final")
+    run(runner, *shared_instance(K, 100), options)
+    short = traced_peak(runner, K, 2 * allocator._DRAW_BLOCK, options)
+    long = traced_peak(runner, K, 20 * allocator._DRAW_BLOCK, options)
+    assert long - short <= 16 * 1024, (short, long)
