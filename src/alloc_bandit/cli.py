@@ -5,8 +5,8 @@ Subcommands: ``run`` (single episode, trace CSV), ``experiment``
 (worst-case stress over the hardest instance family) and ``init-stats``
 (halving-probe statistics). Human-readable summaries go to stdout,
 machine artifacts only to files, errors to stderr with a nonzero exit.
-``experiment`` also prints one estimator-health line to stderr, so the
-stdout summary and the CSV stay as they were.
+``experiment`` and ``minimax`` also print one estimator-health line to
+stderr, so the stdout summary and the CSV stay as they were.
 The ALLOC_BANDIT_THREADS environment variable caps worker parallelism
 (0 = auto).
 """
@@ -133,13 +133,19 @@ def _cmd_experiment(args) -> int:
         f"{len(config.arms)} arms x {config.replications} reps, "
         f"mean final regret {overall:.6g}" + (f" wrote={out}" if out else "")
     )
-    failures, capped, collapsed = map(sum, zip(*result.health.values()))
+    cells = len(config.grid) * len(config.arms) * config.replications
+    _print_health(cells, map(sum, zip(*result.health.values())))
+    return 0
+
+
+def _print_health(cells: int, counts) -> None:
+    """Print to stderr the health ``counts`` summed over ``cells`` cells."""
+    failures, capped, collapsed = counts
     print(
-        f"health: {len(config.grid) * len(config.arms) * config.replications} cells, "
+        f"health: {cells} cells, "
         f"coverage_failures={failures} weight_capped={capped} collapsed={collapsed}",
         file=sys.stderr,
     )
-    return 0
 
 
 def _cmd_minimax(args) -> int:
@@ -149,6 +155,7 @@ def _cmd_minimax(args) -> int:
         f"sup_regret={result.sup_regret:.6g} sqrt_nK={result.sqrt_nk:.6g} "
         f"ratio={result.ratio:.6g}"
     )
+    _print_health(result.num_jobs * result.reps, result.health)
     return 0
 
 
@@ -197,7 +204,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

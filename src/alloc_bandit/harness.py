@@ -307,6 +307,7 @@ class MinimaxStressResult:
     n: int
     num_jobs: int
     reps: int
+    health: tuple
 
     @property
     def sup_regret(self) -> float:
@@ -330,13 +331,15 @@ def minimax_stress(
 ) -> MinimaxStressResult:
     """Empirical worst case over the minimax family: the self-initializing
     policy's mean regret, maximized over family members, and its ratio to
-    sqrt(nK)."""
+    sqrt(nK). ``health`` is ``(coverage_failures, weight_capped, collapsed)``
+    summed over all members and replications, as in ``ExperimentResult``."""
     reps = _count("reps", reps)
     family = minimax_family(n, num_jobs, base_seed)
     groups = [(instance, idx, base_seed) for idx, instance in enumerate(family)]
     outcomes = _replicate(_minimax_cell, groups, reps, workers)
     means = tuple(float(np.mean(finals)) for finals, _ in outcomes)
-    return MinimaxStressResult(means, family[0].horizon, len(family), reps)
+    health = tuple(map(sum, zip(*(counts for _, counts in outcomes))))
+    return MinimaxStressResult(means, family[0].horizon, len(family), reps, health)
 
 
 def _minimax_cell(args) -> tuple:

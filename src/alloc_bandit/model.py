@@ -176,18 +176,13 @@ class OptimalProfile:
     """Optimal allocation and derived quantities for a known instance.
 
     ``m_star`` is the per-job optimal allocation, ``ell`` the number of
-    jobs fully allocated by the optimal policy (in increasing difficulty),
-    ``s_star`` the residual budget handed to the next-easiest job, and
-    ``rho_star`` the optimal expected number of completions per step.
-    ``sort_order[r]`` maps sorted rank r (0-based, easiest first) to the
-    original job index.
+    jobs fully allocated by the optimal policy (in increasing difficulty)
+    and ``rho_star`` the optimal expected number of completions per step.
     """
 
     m_star: tuple
     ell: int
-    s_star: float
     rho_star: float
-    sort_order: tuple
 
 
 def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
@@ -232,10 +227,4 @@ def optimal_profile(instance: ProblemInstance) -> OptimalProfile:
     ell = sum(take == nus[k] for k, take in fill)
     s_star = m[order[ell]] if ell < K else 0.0
     rho_star = float(ell) + (s_star * recips[order[ell]] if ell < K else 0.0)
-    return OptimalProfile(
-        m_star=tuple(m),
-        ell=ell,
-        s_star=s_star,
-        rho_star=rho_star,
-        sort_order=tuple(order),
-    )
+    return OptimalProfile(m_star=tuple(m), ell=ell, rho_star=rho_star)

@@ -14,8 +14,7 @@ step loop that samples and records all K jobs every step, against which the
 sparse ``allocator._simulate`` is checked byte for byte.
 
 ``Allocation`` and ``allocate`` (the greedy fill of
-``allocator._allocate_raw`` as a K-long allocation), the closed-form
-``regret_upper_bound`` with its ``rank_gap`` table, and ``bootstrap_ci``
+``allocator._allocate_raw`` as a K-long allocation) and ``bootstrap_ci``
 serve only tests and the acceptance gate.
 """
 
@@ -40,7 +39,7 @@ from alloc_bandit.estimator import (
     EstimatorState,
     confidence_radius_f,
 )
-from alloc_bandit.model import OptimalProfile, ProblemInstance, optimal_profile
+from alloc_bandit.model import OptimalProfile, ProblemInstance
 
 BUDGET_TOL = 1e-9
 
@@ -69,13 +68,6 @@ def allocate(lower_recips: Sequence[float], budget: float = 1.0) -> Allocation:
     for k, take in _allocate_raw(order, budget):
         m[k] = take
     return Allocation(tuple(m))
-
-
-def beta(x: float) -> float:
-    """Success probability for relative allocation x: min(1, x)."""
-    if x < 0:
-        raise ValueError(f"relative allocation must be non-negative, got {x}")
-    return x if x < 1.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -367,87 +359,6 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
         lower_recips=rows(lower_hist) if options.record == "intervals" else None,
         upper_recips=rows(upper_hist) if options.record == "intervals" else None,
     )
-
-
-def rank_gap(instance: ProblemInstance, profile: OptimalProfile, j: int, k: int) -> float:
-    """Difficulty separation 1/nu_j - 1/nu_k between sorted ranks j and k
-    (1-based, easiest first)."""
-    K = instance.num_jobs
-    if not (1 <= j <= K and 1 <= k <= K):
-        raise IndexError(f"ranks must be in 1..{K}, got ({j}, {k})")
-    recips, order = instance.recips, profile.sort_order
-    return recips[order[j - 1]] - recips[order[k - 1]]
-
-
-def regret_upper_bound(
-    instance: ProblemInstance,
-    initial_lower_bounds: Sequence[float],
-    n: int,
-) -> float:
-    """Closed-form regret bound for the optimistic policy, evaluated from
-    the true difficulties (reference curve only; the policy never sees nu).
-
-    With delta = (nK)^-2, eta_k = min(1, nu_k) / nu_lower0_k,
-    delta~_k = delta / (48 eta_k^4 n^6), c_{k,1} = 27 log(2/delta~_k),
-    c_{k,2} = 6 log(2/delta~_k) and u_{j,k} = c_{k,1} / (nu_lower0_k D_{j,k})
-    over sorted ranks with gaps D_{j,k} = 1/nu_j - 1/nu_k:
-
-        1 + sum_{k<=ell} c_{k,1} eta_k (1 + log n)
-        + [ell < K] ( sum_{k>=ell+2} c_{k,2} / (nu_lower0_k D_{ell+1,k})
-                      + sum_{k<=ell+1} c_{k,1} eta_k (1 + log n)
-                      + sum_{k>=ell+2} c_{k,1} eta_k (1 + log u_{ell+1,k})
-                      + sum_{k>=ell+1} c_{k,1} eta_k (1 + log u_{ell,k}) )
-
-    Returns +inf whenever a divided-by gap is non-positive or refers to a
-    rank below 1 (ties or ell = 0 make those terms undefined).
-    """
-    K = instance.num_jobs
-    if len(initial_lower_bounds) != K:
-        raise ValueError(f"expected {K} initial lower bounds, got {len(initial_lower_bounds)}")
-    profile = optimal_profile(instance)
-    ell = profile.ell
-    order = profile.sort_order
-    delta = default_delta(n, K)
-    log_n = math.log(n)
-
-    nu_sorted = [instance.nus[k] for k in order]
-    lb_sorted = [float(initial_lower_bounds[k]) for k in order]
-    eta = [
-        (1.0 if nu is None else min(1.0, nu)) / lb for nu, lb in zip(nu_sorted, lb_sorted)
-    ]
-    c1 = [27.0 * math.log(2.0 * 48.0 * e**4 * float(n) ** 6 / delta) for e in eta]
-    c2 = [v * 6.0 / 27.0 for v in c1]
-
-    total = 1.0 + sum(c1[k] * eta[k] * (1.0 + log_n) for k in range(ell))
-    if ell == K:
-        return total
-
-    def gap(j: int, k: int) -> float:
-        if j < 1:
-            return -math.inf
-        return rank_gap(instance, profile, j, k)
-
-    bracket = 0.0
-    for k in range(ell + 2, K + 1):
-        d = gap(ell + 1, k)
-        if d <= 0.0:
-            return math.inf
-        bracket += c2[k - 1] / (lb_sorted[k - 1] * d)
-    for k in range(1, ell + 2):
-        bracket += c1[k - 1] * eta[k - 1] * (1.0 + log_n)
-    for k in range(ell + 2, K + 1):
-        d = gap(ell + 1, k)
-        if d <= 0.0:
-            return math.inf
-        u = c1[k - 1] / (lb_sorted[k - 1] * d)
-        bracket += c1[k - 1] * eta[k - 1] * (1.0 + math.log(u))
-    for k in range(ell + 1, K + 1):
-        d = gap(ell, k)
-        if d <= 0.0:
-            return math.inf
-        u = c1[k - 1] / (lb_sorted[k - 1] * d)
-        bracket += c1[k - 1] * eta[k - 1] * (1.0 + math.log(u))
-    return total + bracket
 
 
 def bootstrap_ci(

@@ -2,7 +2,6 @@ import csv
 import math
 import re
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +11,7 @@ from alloc_bandit.allocator import PolicyOptions, _allocate_raw, default_delta, 
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from alloc_bandit.estimator import EstimatorState
 from alloc_bandit.initialization import run_modified
-from reference import allocate, instantaneous_regret, regret_upper_bound, sample_step
+from reference import allocate, instantaneous_regret, sample_step
 
 
 def recips_of(nu_lowers):
@@ -250,87 +249,6 @@ class TestRunEpisode:
         mean = float(np.mean(finals))
         assert mean / n < 0.25  # far below linear growth
         assert mean / math.log(n) ** 2 < 200
-
-
-def regret_bound_oracle(nus, lbs, n, dps=60):
-    """Arbitrary-precision re-evaluation of the displayed bound."""
-    with mp.workdps(dps):
-        K = len(nus)
-        order = sorted(range(K), key=lambda k: nus[k])
-        nu = [mp.mpf(nus[k]) for k in order]
-        lb = [mp.mpf(lbs[k]) for k in order]
-        delta = mp.mpf(1) / (mp.mpf(n) * K) ** 2
-        remaining = mp.mpf(1)
-        ell = 0
-        for rank in range(K):
-            if nu[rank] <= remaining:
-                remaining -= nu[rank]
-                ell = rank + 1
-            else:
-                break
-        eta = [min(1, nu[k]) / lb[k] for k in range(K)]
-        c1 = [27 * mp.log(2 * 48 * eta[k] ** 4 * mp.mpf(n) ** 6 / delta) for k in range(K)]
-        c2 = [6 * mp.log(2 * 48 * eta[k] ** 4 * mp.mpf(n) ** 6 / delta) for k in range(K)]
-        log_n = mp.log(n)
-        total = 1 + mp.fsum(c1[k] * eta[k] * (1 + log_n) for k in range(ell))
-        if ell == K:
-            return float(total)
-        gap = lambda j, k: 1 / nu[j - 1] - 1 / nu[k - 1]
-        if ell == 0:
-            return math.inf
-        bracket = mp.mpf(0)
-        for k in range(ell + 2, K + 1):
-            bracket += c2[k - 1] / (lb[k - 1] * gap(ell + 1, k))
-        for k in range(1, ell + 2):
-            bracket += c1[k - 1] * eta[k - 1] * (1 + log_n)
-        for k in range(ell + 2, K + 1):
-            u = c1[k - 1] / (lb[k - 1] * gap(ell + 1, k))
-            bracket += c1[k - 1] * eta[k - 1] * (1 + mp.log(u))
-        for k in range(ell + 1, K + 1):
-            u = c1[k - 1] / (lb[k - 1] * gap(ell, k))
-            bracket += c1[k - 1] * eta[k - 1] * (1 + mp.log(u))
-        return float(total + bracket)
-
-
-class TestRegretUpperBound:
-    def test_all_jobs_coverable_closed_form(self):
-        inst = ProblemInstance((0.4, 0.6), 100, 0)
-        n = 10**4
-        got = regret_upper_bound(inst, [0.2, 0.3], n)
-        delta = (n * 2) ** -2
-        expect = 1.0
-        for nu, lb in ((0.4, 0.2), (0.6, 0.3)):
-            eta = min(1.0, nu) / lb
-            c1 = 27 * math.log(2 * 48 * eta**4 * n**6 / delta)
-            expect += c1 * eta * (1 + math.log(n))
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_frozen_regression_value(self):
-        inst = ProblemInstance((0.4, 0.6), 100, 0)
-        got = regret_upper_bound(inst, [0.2, 0.3], 10**4)
-        assert got == pytest.approx(regret_bound_oracle([0.4, 0.6], [0.2, 0.3], 10**4), rel=1e-12)
-        assert got == pytest.approx(90871.42689026211, rel=1e-12)
-
-    def test_matches_oracle_with_overflow_jobs(self):
-        nus, lbs = [0.4, 0.9, 2.0], [0.2, 0.45, 1.0]
-        inst = ProblemInstance(tuple(nus), 100, 0)
-        got = regret_upper_bound(inst, lbs, 10**5)
-        assert math.isfinite(got)
-        assert got == pytest.approx(regret_bound_oracle(nus, lbs, 10**5), rel=1e-12)
-
-    def test_non_decreasing_in_horizon(self):
-        inst = ProblemInstance((0.4, 0.9, 2.0), 100, 0)
-        lbs = [0.2, 0.45, 1.0]
-        values = [regret_upper_bound(inst, lbs, n) for n in (10**2, 10**3, 10**4, 10**5)]
-        assert values == sorted(values)
-
-    def test_infinite_on_vanishing_gap(self):
-        inst = ProblemInstance((0.4, 0.7, 0.7), 100, 0)
-        assert regret_upper_bound(inst, [0.2, 0.3, 0.3], 1000) == math.inf
-
-    def test_infinite_when_no_job_coverable(self):
-        inst = ProblemInstance((2.0, 3.0), 100, 0)
-        assert regret_upper_bound(inst, [1.0, 1.5], 1000) == math.inf
 
 
 class TestTraceCsv:

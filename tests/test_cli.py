@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from alloc_bandit import cli
+from alloc_bandit import cli, harness
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -291,6 +291,23 @@ class TestMinimaxCommand:
         args = ("minimax", "--horizon", "150", "--k", "2", "--reps", "2", "--seed", "9")
         assert invoke(*args).stdout == invoke(*args).stdout
 
+    def test_prints_health_to_stderr(self):
+        result = invoke("minimax", "--horizon", "50", "--k", "2", "--reps", "2")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("minimax: n=50 K=2 reps=2 ")
+        assert result.stderr == "health: 4 cells, coverage_failures=0 weight_capped=0 collapsed=0\n"
+
+    def test_health_sums_over_members_and_reps(self, monkeypatch, capsys):
+        def cell(args):
+            _, idx, _, rep = args
+            return 0.0, idx, rep, 2
+
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+        monkeypatch.setattr(harness, "_minimax_cell", cell)
+        assert cli.main(["minimax", "--horizon", "50", "--k", "3", "--reps", "2"]) == 0
+        err = capsys.readouterr().err
+        assert err == "health: 6 cells, coverage_failures=6 weight_capped=3 collapsed=12\n"
+
 
 class TestInitStatsCommand:
     def test_summary_and_csv(self, tmp_path):
@@ -334,6 +351,14 @@ class TestInitStatsCommand:
 
 
 class TestUsage:
+    def test_library_key_error_is_not_caught(self, monkeypatch):
+        def stress(*args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "minimax_stress", stress)
+        with pytest.raises(KeyError):
+            cli.main(["minimax", "--horizon", "50", "--k", "2", "--reps", "2"])
+
     def test_no_subcommand(self):
         result = invoke()
         assert result.returncode != 0

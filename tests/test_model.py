@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from reference import (
     Allocation,
-    beta,
     brute_force_optimal,
     instantaneous_regret,
-    rank_gap,
     sample_step,
 )
 
@@ -22,21 +20,6 @@ nus_lists = st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4)
 
 def make_instance(nus, horizon=10, seed=0):
     return ProblemInstance(tuple(nus), horizon, seed)
-
-
-class TestBeta:
-    def test_zero(self):
-        assert beta(0.0) == 0.0
-
-    def test_caps_at_one(self):
-        assert beta(2.5) == 1.0
-
-    def test_identity_below_cap(self):
-        assert beta(0.4 / 0.6) == pytest.approx(0.666666666666, rel=1e-9)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            beta(-0.1)
 
 
 class TestInstance:
@@ -146,14 +129,12 @@ class TestOptimalProfile:
         prof = optimal_profile(make_instance([0.4, 0.6]))
         assert prof.m_star == (0.4, 0.6)
         assert prof.ell == 2
-        assert prof.s_star == 0.0
         assert prof.rho_star == 2.0
 
     def test_single_over_budget_job(self):
         prof = optimal_profile(make_instance([2.0]))
         assert prof.m_star == (1.0,)
         assert prof.ell == 0
-        assert prof.s_star == 1.0
         assert prof.rho_star == pytest.approx(0.5)
 
     def test_three_jobs_with_overflow(self):
@@ -161,7 +142,6 @@ class TestOptimalProfile:
         prof = optimal_profile(inst)
         assert prof.m_star == (0.4, 0.6, 0.0)
         assert prof.ell == 1
-        assert prof.s_star == pytest.approx(0.6)
         assert prof.rho_star == pytest.approx(1.0 + 0.6 / 0.9)
         # cross-check the closed form against the grid-search oracle
         _, reward = brute_force_optimal(inst, 0.001)
@@ -170,7 +150,6 @@ class TestOptimalProfile:
     def test_unsorted_input(self):
         prof = optimal_profile(make_instance([0.9, 0.4, 2.0]))
         assert prof.m_star == (0.6, 0.4, 0.0)
-        assert prof.sort_order == (1, 0, 2)
         assert prof.ell == 1
 
     def test_unbounded_job_gets_leftover_but_no_reward(self):
@@ -178,15 +157,6 @@ class TestOptimalProfile:
         assert prof.m_star == (0.4, 0.6)
         assert prof.ell == 1
         assert prof.rho_star == 1.0
-
-    def test_gap_table(self):
-        inst = make_instance([0.4, 0.9, 2.0])
-        prof = optimal_profile(inst)
-        assert rank_gap(inst, prof, 1, 2) == pytest.approx(1 / 0.4 - 1 / 0.9)
-        assert rank_gap(inst, prof, 1, 3) == pytest.approx(1 / 0.4 - 1 / 2.0)
-        assert rank_gap(inst, prof, 2, 2) == 0.0
-        with pytest.raises(IndexError):
-            rank_gap(inst, prof, 0, 1)
 
     @given(nus_lists)
     def test_budget_exhausted_whenever_useful(self, nus):
@@ -208,7 +178,6 @@ class TestOptimalProfile:
         base = optimal_profile(make_instance(nus))
         shuffled = optimal_profile(make_instance([nus[p] for p in perm]))
         assert shuffled.ell == base.ell
-        assert shuffled.s_star == pytest.approx(base.s_star, abs=1e-12)
         assert shuffled.rho_star == pytest.approx(base.rho_star, abs=1e-12)
         for i, p in enumerate(perm):
             assert shuffled.m_star[i] == pytest.approx(base.m_star[p], abs=1e-12)
@@ -219,11 +188,9 @@ class TestOptimalProfile:
         h = hashlib.sha256()
         for inst in profile_cases(2000):
             prof = optimal_profile(inst)
-            fields = [",".join(map(float.hex, prof.m_star)), float.hex(prof.s_star),
-                      float.hex(prof.rho_star), str(prof.ell),
-                      ",".join(map(str, prof.sort_order))]
+            fields = [",".join(map(float.hex, prof.m_star)), float.hex(prof.rho_star), str(prof.ell)]
             h.update(("|".join(fields) + "\n").encode())
-        assert h.hexdigest() == "2f093b0e1df28559e3a7f4539e3a6a21be4ba7158eb92bcb3fe4f4839f560a2d"
+        assert h.hexdigest() == "f67486270b64658862c002e32d5d187e3a101be05044920f80e41d8e9c610879"
 
 
 class TestBruteForce:

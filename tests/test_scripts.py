@@ -1,6 +1,7 @@
 """Smoke tests for the reproduction scripts under ``scripts/``."""
 
 import importlib.util
+import math
 import os
 import sys
 
@@ -52,3 +53,25 @@ def test_minimax_stress_main(monkeypatch, capsys):
     assert len(lines) == 2
     assert lines[1].startswith("n=      50 K=2: sup_regret=")
     assert "ratio=" in lines[1] and "per-instance=" in lines[1]
+
+
+def test_experiment_suite_main(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+    monkeypatch.setattr(sys, "argv", [
+        "run_experiment_suite.py", "--scale", "0.01", "--only", "horizon_plateau",
+        "--out-dir", str(tmp_path),
+    ])
+    assert suite.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    csv_path = tmp_path / "horizon_plateau.csv"
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "grid_value,arm,mean_regret,stderr,reps"
+    assert len(rows) == 6
+    assert len(lines) == 6
+    assert lines[0].startswith("horizon-plateau: 5 points, 3 reps, regret span ")
+    assert lines[0].endswith(f" -> {csv_path}")
+    for row, line in zip(rows[1:], lines[1:]):
+        grid_value, arm, mean_regret, _, reps = row.split(",")
+        n = int(float(grid_value))
+        assert (arm, reps) == ("weighted", "3")
+        assert line == f"  n={n:>8}: R_n/log^2 n = {float(mean_regret) / math.log(n) ** 2:.1f}"
