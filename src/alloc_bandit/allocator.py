@@ -238,9 +238,9 @@ def _simulate(
     The loop records nothing per step. At ``"steps"`` it records, on each
     step that computes a fill, the step, the fill's allocation row and its
     regret, and keeps the draw blocks; ``_record_steps`` then builds the
-    per-step columns from them. At ``"intervals"`` it also writes each
-    job's post-update interval at the steps the job receives resources, and
-    ``_carry_intervals`` fills the other steps.
+    per-step columns from them. At ``"intervals"`` it also writes a job's
+    bound at the step it moves (the lower bound when a probe builds the
+    estimator), and ``_carry_intervals`` carries each bound forward.
 
     Returns the trace, recorded at the level ``options.record`` names. Its
     metadata holds ``initial_lower_bounds`` or, for the probing runner,
@@ -282,12 +282,17 @@ def _simulate(
         allocations = array("d", [0.0]) * (n * K)
         blocks: list = []
     if intervals:
-        # Flat step-major n x K interval history, starting as the initial
-        # row (known bounds' reciprocals, or 0.0 for a job without an
-        # estimator) and written only where a job received resources;
-        # ``_carry_intervals`` fills in the other steps.
-        lower_hist = array("d", [0.0 if s is None else s.lower_recip for s in states]) * n
-        upper_hist = array("d", [0.0]) * (n * K)
+        # Flat step-major n x K histories: row 0 is the initial row (known
+        # bounds' reciprocals, or 0.0 for a job without an estimator); after
+        # it a bound is written only at the step it moves, and
+        # ``_carry_intervals`` fills the NaN rows. No bound is NaN (inputs
+        # are positive and finite, sum_wm > 0, an infinite radius leaves both
+        # clamps as they were) nor -0.0 (x - x is +0.0; a collapse sets U to
+        # L > 0), so ``!=`` tells exactly when a bound moved.
+        lower_hist = array("d", [np.nan]) * (n * K)
+        upper_hist = array("d", [np.nan]) * (n * K)
+        lower_hist[:K] = array("d", [0.0 if s is None else s.lower_recip for s in states])
+        upper_hist[:K] = array("d", [0.0]) * K
 
     # A step reads only the draws of the jobs it touches, so the block stays
     # a float64 buffer instead of becoming one Python float per draw.
@@ -349,16 +354,21 @@ def _simulate(
                 }
                 insort(order, (1.0 / s.lower_recip, k))
                 stale = True
+                if intervals:
+                    # U starts at 0.0, which the history already carries.
+                    lower_hist[t * K + k] = s.lower_recip
             else:
                 lower_prev = s.lower_recip
+                upper_prev = s.upper_recip
                 s.update(mk, x)
                 if s.lower_recip != lower_prev:
                     del order[bisect_left(order, (1.0 / lower_prev, k))]
                     insort(order, (1.0 / s.lower_recip, k))
                     stale = True
-            if intervals:
-                lower_hist[t * K + k] = s.lower_recip
-                upper_hist[t * K + k] = s.upper_recip
+                    if intervals:
+                        lower_hist[t * K + k] = s.lower_recip
+                if intervals and s.upper_recip != upper_prev:
+                    upper_hist[t * K + k] = s.upper_recip
         # Every step consumes K draws, one per job in job order.
         pos += K
         if probes:
@@ -425,17 +435,14 @@ def _record_steps(trace: RunTrace, fill_steps: np.ndarray, fill_regrets: np.ndar
 
 
 def _carry_intervals(trace: RunTrace) -> None:
-    """Carry each job's interval column forward from its last step with
-    M_k > 0, in place: the step loop writes a job's interval only at the
-    steps it receives resources (after any update), and the rows before a
-    job's first such step already hold the initial row."""
-    n = len(trace.allocations)
-    step = np.arange(n)
-    for k in range(trace.allocations.shape[1]):
-        last = np.where(trace.allocations[:, k] > 0.0, step, 0)
-        np.maximum.accumulate(last, out=last)
-        for hist in (trace.lower_recips, trace.upper_recips):
-            column = hist[:, k]
+    """Carry each interval column forward from its last written row, in
+    place: the step loop writes row 0 and then a bound only at the step it
+    moves, leaving NaN elsewhere (bounds are never NaN)."""
+    step = np.arange(len(trace.lower_recips))
+    for hist in (trace.lower_recips, trace.upper_recips):
+        for column in hist.T:
+            last = np.where(np.isnan(column), 0, step)
+            np.maximum.accumulate(last, out=last)
             column[:] = column[last]
 
 

@@ -8,7 +8,7 @@ machine artifacts only to files, errors to stderr with a nonzero exit.
 ``experiment`` and ``minimax`` also print one estimator-health line to
 stderr, so the stdout summary and the CSV stay as they were.
 The ALLOC_BANDIT_THREADS environment variable caps worker parallelism
-(0 = auto).
+(ASCII digits; 0 = auto).
 """
 
 from __future__ import annotations

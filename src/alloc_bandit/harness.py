@@ -212,14 +212,14 @@ def _run_cell(args) -> tuple:
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ALLOC_BANDIT_THREADS, else
-    auto (0 also means auto = CPU count)."""
+    """Worker count: explicit integer (``model._integer``), else
+    ALLOC_BANDIT_THREADS in ASCII digits, else auto (0 = CPU count)."""
     if explicit is None:
         raw = os.environ.get(WORKERS_ENV, "0")
-        try:
-            explicit = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
+        if not re.fullmatch("[0-9]+", raw):
+            raise ValueError(f"{WORKERS_ENV} must be a count in ASCII digits, got {raw!r}")
+        explicit = int(raw)
+    explicit = _integer("worker count", explicit)
     if explicit < 0:
         raise ValueError(f"worker count must be >= 0, got {explicit}")
     if explicit == 0:

@@ -359,6 +359,12 @@ class TestUsage:
         with pytest.raises(KeyError):
             cli.main(["minimax", "--horizon", "50", "--k", "2", "--reps", "2"])
 
+    @pytest.mark.parametrize("threads", ["1_6", "\u0663", "+2"])
+    def test_bad_thread_count_exits_1(self, monkeypatch, capsys, threads):
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", threads)
+        assert cli.main(["minimax", "--horizon", "50", "--k", "2", "--reps", "2"]) == 1
+        assert "ALLOC_BANDIT_THREADS" in capsys.readouterr().err
+
     def test_no_subcommand(self):
         result = invoke()
         assert result.returncode != 0

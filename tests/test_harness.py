@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from alloc_bandit.harness import (
     emit_csv,
     minimax_family,
     minimax_stress,
+    resolve_workers,
     run_experiment,
 )
 from alloc_bandit.model import optimal_profile
@@ -317,6 +319,40 @@ class TestRunExperiment:
             assert row.stderr == pytest.approx(
                 float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
             )
+
+
+class TestResolveWorkers:
+    """The worker-count rule alone; no pool is started."""
+
+    @pytest.mark.parametrize("raw,expected", [("1", 1), ("3", 3), ("16", 16), ("007", 7)])
+    def test_env_takes_ascii_digits(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", raw)
+        assert resolve_workers() == expected
+
+    @pytest.mark.parametrize("raw", ["0", None])
+    def test_zero_or_unset_env_is_cpu_count(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("ALLOC_BANDIT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ALLOC_BANDIT_THREADS", raw)
+        assert resolve_workers() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("raw", ["1_6", "\u0663", "+2", "-1", " 2", "2 ", "2\n", "2.0", "0x2", ""])
+    def test_env_rejects_anything_but_ascii_digits(self, monkeypatch, raw):
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", raw)
+        with pytest.raises(ValueError, match="ALLOC_BANDIT_THREADS"):
+            resolve_workers()
+
+    def test_explicit_count_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1_6")
+        assert resolve_workers(3) == 3
+        assert resolve_workers(2.0) == 2
+        assert type(resolve_workers(2.0)) is int
+
+    @pytest.mark.parametrize("explicit", [2.5, True, "2", -1])
+    def test_explicit_count_must_be_a_non_negative_integer(self, explicit):
+        with pytest.raises(ValueError, match="worker count"):
+            resolve_workers(explicit)
 
 
 class TestEmitCsv:

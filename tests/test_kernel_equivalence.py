@@ -11,18 +11,26 @@ Instances are random: K in {1, 2, 3, 8, 32}, difficulties drawn partly
 from a short list so that ties are common, some unbounded jobs, known lower
 bounds that are sometimes violated, and horizons of 1, n < K, a few hundred
 steps, just past the 1024-step draw-block refill and exactly two blocks.
+
+The interval history, which the sparse kernel writes only where a bound
+moves, is also checked on drawn degenerate instances, with examples that
+collapse an interval, hit the weight cap, finish a probe at step 0 and
+leave a probe unstarted (n < K).
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from alloc_bandit import allocator, initialization
-from alloc_bandit.allocator import PolicyOptions, run_episode
+from alloc_bandit.allocator import MODES, PolicyOptions, run_episode
 from alloc_bandit.initialization import run_modified
-from alloc_bandit.model import ProblemInstance
+from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from reference import simulate_dense
+from test_degenerate import degenerate_instances
 
 TIE_POOL = (0.05, 0.25, 0.5, 0.5, 0.9, 2.0)
 HORIZON_KINDS = ("n1", "n_lt_k", "mid", "refill", "two_blocks")
@@ -106,3 +114,32 @@ def test_cases_cover_the_degenerate_instances():
     assert any(inst.horizon < inst.num_jobs for inst in instances)
     assert any(inst.horizon > allocator._DRAW_BLOCK for inst in instances)
     assert any(inst.horizon == 2 * allocator._DRAW_BLOCK for inst in instances)
+
+
+@given(degenerate_instances(), st.integers(0, 2**32 - 1), st.just(()))
+@example((ProblemInstance((0.16, 0.05), 54, 40), (1.0, 0.76)), 0, ("collapsed",))
+@example((ProblemInstance((2.7, 0.02), 154, 99), (0.75, 0.79)), 0, ("weight_capped",))
+@example((ProblemInstance((None, 0.5), 30, 5), (0.5, 0.25)), 1, ("probe_done_at_step_0",))
+@example((ProblemInstance((0.3, None, 0.7), 2, 6), (0.1, 0.5, 0.3)), 2, ("probe_unstarted",))
+def test_sparse_interval_writes_match_dense_oracle(case, seed, expect):
+    instance, lower_bounds = case
+    profile = optimal_profile(instance)
+    fired = set()
+    for mode in MODES:
+        options = PolicyOptions(mode=mode, record="intervals", seed=seed)
+        for bounds in (lower_bounds, None):
+            sparse, dense = (
+                simulate(instance, options, profile, split_rng(instance.base_seed, seed), bounds)
+                for simulate in (allocator._simulate, simulate_dense)
+            )
+            assert artifacts(sparse) == artifacts(dense)
+            for s in sparse.estimators:
+                fired.update(flag for flag in ("collapsed", "weight_capped")
+                             if s is not None and getattr(s, flag))
+            if bounds is None:
+                records = sparse.metadata["init_records"]
+                if any(r["job"] == 0 and r["steps_used"] == 1 for r in records):
+                    fired.add("probe_done_at_step_0")
+                if None in sparse.estimators:
+                    fired.add("probe_unstarted")
+    assert set(expect) <= fired
