@@ -21,9 +21,9 @@ How much of an episode is kept is one recording level (``PolicyOptions.
 record``): ``"final"`` keeps only the final cumulative regret and the
 estimators, which is all a Monte-Carlo cell needs; ``"steps"`` adds the
 per-step allocations, outcomes and regrets a trace CSV is written from;
-``"intervals"`` adds the per-step confidence intervals. Since a fill holds
-until the next one, the loop records no step-by-step columns; see
-``_simulate`` for what it keeps instead.
+``"intervals"`` adds the per-step confidence intervals. Every recorded
+column is a step function, so the loop writes a value only at the step it
+changes and the rest are carried forward after it; see ``_simulate``.
 """
 
 from __future__ import annotations
@@ -233,14 +233,18 @@ def _simulate(
     draw of its step, so the stream is the one per-step sampling of every
     job would consume; a job given nothing would draw X = 0 regardless.
     The draws come in blocks of ``_DRAW_BLOCK`` steps, one block taken at
-    every ``_DRAW_BLOCK``-th step.
+    every ``_DRAW_BLOCK``-th step; from ``"steps"`` on they are drawn into
+    one n x K buffer, so the last block stops at the horizon (nothing draws
+    after it).
 
-    The loop records nothing per step. At ``"steps"`` it records, on each
-    step that computes a fill, the step, the fill's allocation row and its
-    regret, and keeps the draw blocks; ``_record_steps`` then builds the
-    per-step columns from them. At ``"intervals"`` it also writes a job's
-    bound at the step it moves (the lower bound when a probe builds the
-    estimator), and ``_carry_intervals`` carries each bound forward.
+    The loop writes each recorded column only where it changes, into a
+    NaN-filled step-major history, and ``_carry_forward`` carries every
+    history forward after the loop. At ``"steps"`` a step that computes a
+    fill writes the fill's regret and its allocation row (a zero row, then
+    the funded takes), and ``_outcomes`` reads the kept draws. At
+    ``"intervals"`` row 0 holds the initial bounds, and a job's bound is
+    written at the step it moves (the lower bound when a probe builds the
+    estimator).
 
     Returns the trace, recorded at the level ``options.record`` names. Its
     metadata holds ``initial_lower_bounds`` or, for the probing runner,
@@ -272,23 +276,21 @@ def _simulate(
     records = [None] * K  # each job's probe record, once its probe ends
     probes: list = []  # jobs whose probe is running, in job order
 
+    # Flat step-major histories (n x K, regrets n x 1), NaN where nothing
+    # was written; ``_carry_forward`` fills those rows from the last write.
+    # Row 0 is always written: step 0 computes a fill (``stale`` starts
+    # True), and L and U start from the initial row. No recorded value is
+    # NaN: takes are 0.0 or positive and finite, a regret is finite, and no
+    # bound is (inputs are positive and finite, sum_wm > 0, an infinite
+    # radius leaves both clamps as they were). No bound is -0.0 either
+    # (x - x is +0.0; a collapse sets U to L > 0), so ``!=`` tells exactly
+    # when a bound moved.
     if steps:
-        # A fill holds until the next one, so the steps that computed one,
-        # their regrets, their allocation rows in a flat step-major n x K
-        # buffer (zero elsewhere) and the draw blocks fix every per-step
-        # column (``_record_steps``).
-        fill_steps = array("q")
-        fill_regrets = array("d")
-        allocations = array("d", [0.0]) * (n * K)
-        blocks: list = []
+        regret_hist = array("d", [np.nan]) * n
+        alloc_hist = array("d", [np.nan]) * (n * K)
+        zero_row = array("d", [0.0]) * K
+        draw_hist = np.empty(n * K)
     if intervals:
-        # Flat step-major n x K histories: row 0 is the initial row (known
-        # bounds' reciprocals, or 0.0 for a job without an estimator); after
-        # it a bound is written only at the step it moves, and
-        # ``_carry_intervals`` fills the NaN rows. No bound is NaN (inputs
-        # are positive and finite, sum_wm > 0, an infinite radius leaves both
-        # clamps as they were) nor -0.0 (x - x is +0.0; a collapse sets U to
-        # L > 0), so ``!=`` tells exactly when a bound moved.
         lower_hist = array("d", [np.nan]) * (n * K)
         upper_hist = array("d", [np.nan]) * (n * K)
         lower_hist[:K] = array("d", [0.0 if s is None else s.lower_recip for s in states])
@@ -323,15 +325,16 @@ def _simulate(
                 reward += p if p < 1.0 else 1.0
             regret = rho_star - reward
             if steps:
-                fill_steps.append(t)
-                fill_regrets.append(regret)
+                regret_hist[t] = regret
+                alloc_hist[t * K : t * K + K] = zero_row
                 for k, mk in touched:
-                    allocations[t * K + k] = mk
+                    alloc_hist[t * K + k] = mk
 
         if t == refill:
-            block = rng.random(_DRAW_BLOCK * K)
             if steps:
-                blocks.append(block)
+                block = rng.random(out=draw_hist[t * K : (t + _DRAW_BLOCK) * K])
+            else:
+                block = rng.random(_DRAW_BLOCK * K)
             draws = memoryview(block)
             pos = 0
             refill += _DRAW_BLOCK
@@ -390,60 +393,43 @@ def _simulate(
         metadata["initial_lower_bounds"] = list(lower_bounds)
     trace = RunTrace(estimators=states, metadata=metadata, final_regret=cum)
     if steps:
-        trace.allocations = np.frombuffer(allocations).reshape(n, K)
-        _record_steps(trace, np.frombuffer(fill_steps, np.int64), np.frombuffer(fill_regrets),
-                      blocks, recips)
+        trace.allocations = _carry_forward(alloc_hist, n, K)
+        trace.regrets = _carry_forward(regret_hist, n, 1).reshape(n)
+        trace.cum_regrets = np.cumsum(trace.regrets)
+        trace.observations = _outcomes(trace.allocations, draw_hist, recips)
     if intervals:
-        trace.lower_recips = np.frombuffer(lower_hist).reshape(n, K)
-        trace.upper_recips = np.frombuffer(upper_hist).reshape(n, K)
-        _carry_intervals(trace)
+        trace.lower_recips = _carry_forward(lower_hist, n, K)
+        trace.upper_recips = _carry_forward(upper_hist, n, K)
     return trace
 
 
-def _record_steps(trace: RunTrace, fill_steps: np.ndarray, fill_regrets: np.ndarray,
-                  blocks: list, recips: Sequence[float]) -> None:
-    """Complete the trace's per-step columns from what the step loop kept:
-    ``trace.allocations`` holding the row of each step in ``fill_steps``
-    (the steps that computed a fill, in order) and zeros elsewhere, each
-    fill's regret, and the draw blocks it took.
+def _carry_forward(hist: array, n: int, K: int) -> np.ndarray:
+    """The flat step-major history ``hist`` as an n x K array (sharing its
+    buffer), each column carried forward from its last written row over
+    the NaN rows the step loop left unwritten."""
+    values = np.frombuffer(hist).reshape(n, K)
+    step = np.arange(n)
+    for column in values.T:
+        last = np.where(np.isnan(column), 0, step)
+        np.maximum.accumulate(last, out=last)
+        column[:] = column[last]
+    return values
 
-    A fill holds until the next one, so each step's allocation row and
-    regret are its fill's, carried forward. An outcome is
-    ``draw < M_k * (1 / nu_k)``, the loop's product and comparison; a job
-    given nothing draws X = 0. The draw blocks are consumed one at a time,
-    so each is released once its outcomes are written.
-    """
-    allocations = trace.allocations
+
+def _outcomes(allocations: np.ndarray, draws: np.ndarray, recips: Sequence[float]) -> np.ndarray:
+    """The per-step outcomes from the step loop's flat step-major draws:
+    X_k is ``draw < M_k * (1 / nu_k)``, the loop's product and comparison,
+    so a job given nothing draws X = 0. Compared ``_DRAW_BLOCK`` rows at a
+    time, so the products need one block's memory."""
     n, K = allocations.shape
-    lengths = np.diff(fill_steps, append=n)
-    fill_of = np.repeat(fill_steps, lengths)  # the step each step's fill was computed at
-    for k in range(K):
-        column = allocations[:, k]
-        column[:] = column[fill_of]
-    del fill_of
-    trace.regrets = np.repeat(fill_regrets, lengths)
-    trace.cum_regrets = np.cumsum(trace.regrets)
-
-    trace.observations = np.empty((n, K), np.uint8)
-    hits = trace.observations.view(np.bool_)
+    outcomes = np.empty((n, K), np.uint8)
+    hits = outcomes.view(np.bool_)
+    draws = draws.reshape(n, K)
     recips = np.array(recips)
-    for b, start in enumerate(range(0, n, _DRAW_BLOCK)):
-        stop = min(start + _DRAW_BLOCK, n)
-        draws, blocks[b] = blocks[b], None
-        rows = draws[: (stop - start) * K].reshape(stop - start, K)
-        np.less(rows, allocations[start:stop] * recips, out=hits[start:stop])
-
-
-def _carry_intervals(trace: RunTrace) -> None:
-    """Carry each interval column forward from its last written row, in
-    place: the step loop writes row 0 and then a bound only at the step it
-    moves, leaving NaN elsewhere (bounds are never NaN)."""
-    step = np.arange(len(trace.lower_recips))
-    for hist in (trace.lower_recips, trace.upper_recips):
-        for column in hist.T:
-            last = np.where(np.isnan(column), 0, step)
-            np.maximum.accumulate(last, out=last)
-            column[:] = column[last]
+    for start in range(0, n, _DRAW_BLOCK):
+        rows = slice(start, start + _DRAW_BLOCK)
+        np.less(draws[rows], allocations[rows] * recips, out=hits[rows])
+    return outcomes
 
 
 def run_episode(

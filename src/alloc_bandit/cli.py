@@ -38,10 +38,11 @@ def _difficulty(raw: str):
 
 
 def _parse_float_list(raw: str, item=_difficulty) -> tuple:
-    out = [item(part) for part in raw.split(",") if part.strip()]
-    if not out:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
-    return tuple(out)
+    parts = raw.split(",")
+    if not all(part.strip() for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers with no empty entry, got {raw!r}")
+    return tuple(map(item, parts))
 
 
 def _parse_numbers(raw: str) -> tuple:

@@ -23,7 +23,16 @@ import numpy as np
 
 from .allocator import PolicyOptions, atomic_write_text, run_episode
 from .initialization import run_modified
-from .model import ProblemInstance, _bounds, _check_keys, _count, _floats, _integer, _seed
+from .model import (
+    ProblemInstance,
+    _bounds,
+    _check_keys,
+    _count,
+    _floats,
+    _integer,
+    _seed,
+    _unique_keys,
+)
 
 WORKERS_ENV = "ALLOC_BANDIT_THREADS"
 
@@ -129,8 +138,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Parse a JSON config; keys are the field names of this class and,
-        per arm, of ArmSpec. Unknown and missing required keys are rejected."""
-        doc = json.loads(text)
+        per arm, of ArmSpec. Unknown, repeated and missing required keys are
+        rejected."""
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         _check_fields(doc, cls, "config")
         if "arms" in doc:
             if not isinstance(doc["arms"], list):

@@ -49,6 +49,8 @@ class ProblemInstance:
 
     def __post_init__(self):
         try:
+            if isinstance(self.nus, (str, dict)):  # would iterate characters or keys
+                raise TypeError
             object.__setattr__(self, "nus", tuple(self.nus))
         except TypeError:
             raise ValueError(f"nus must be a list of difficulties, got {self.nus!r}") from None
@@ -77,9 +79,10 @@ class ProblemInstance:
     @classmethod
     def from_json(cls, text: str, horizon=None, seed=None) -> "ProblemInstance":
         """Parse ``{"nus": [...], "horizon": n, "seed": s}``; ``seed`` may be
-        left out (0). Unknown and missing keys are rejected. ``horizon`` and
-        ``seed``, when not None, replace the document's values."""
-        doc = json.loads(text)
+        left out (0). Unknown, repeated and missing keys are rejected.
+        ``horizon`` and ``seed``, when not None, replace the document's
+        values."""
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         _check_keys(doc, "instance", ("nus", "horizon", "seed"), ("nus", "horizon"))
         return cls(
             nus=doc["nus"],
@@ -156,6 +159,17 @@ def _bounds(name: str, values) -> tuple:
     for i, bound in enumerate(bounds):
         _positive(f"{name}[{i}]", bound)
     return bounds
+
+
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object's pairs as a
+    dict, rejecting a key that appears twice (``json`` keeps the last)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _check_keys(doc, where: str, known, required) -> None:

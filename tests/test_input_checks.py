@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from alloc_bandit import cli
 from alloc_bandit.harness import ArmSpec, ExperimentConfig, minimax_stress
 from test_cli import invoke
 
@@ -207,3 +208,55 @@ def test_horizon_sweep_names_the_field_not_the_grid(overrides, message):
     with pytest.raises(ValueError) as info:
         ExperimentConfig.from_json(json.dumps({**BASE, "grid": [300], **overrides}))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args,flag,raw", [
+    (("--nus", "0.4,,0.6"), "--nus", "0.4,,0.6"),
+    (("--nus", ",0.4", "--lower-bounds", "0.2,"), "--nus", ",0.4"),
+    (("--nus", "0.4", "--lower-bounds", "0.2,"), "--lower-bounds", "0.2,"),
+], ids=["nus-inner", "nus-leading", "lower-bounds-trailing"])
+def test_run_rejects_an_empty_list_entry(capsys, args, flag, raw):
+    # An empty entry used to be dropped, so the run went ahead with fewer jobs.
+    assert cli.main(["run", *args, "--horizon", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"error: argument {flag}: expected a comma-separated list of numbers "
+        f"with no empty entry, got {raw!r}\n"
+    )
+    assert captured.out == ""
+
+
+def with_keys(doc: dict, extra: str) -> str:
+    """``doc`` as JSON text with the raw members ``extra`` appended."""
+    return json.dumps(doc)[:-1] + ", " + extra + "}"
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("run", '{"nus": [0.4, 0.6], "horizon": 5, "horizon": 7}', "horizon"),
+    ("experiment", with_keys(BASE, '"replications": 3'), "replications"),
+    ("experiment",
+     with_keys(BASE, '"arms": [{"name": "w", "mode": "weighted", "mode": "unweighted"}]'),
+     "mode"),
+], ids=["instance", "config", "arm"])
+def test_a_repeated_json_key_is_an_error(tmp_path, capsys, monkeypatch, command, text, key):
+    monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: duplicate JSON key {key!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("nus", ["04", {"a": 0.4}], ids=["string", "object"])
+@pytest.mark.parametrize("command", ["run", "experiment"])
+def test_nus_that_is_not_a_list_is_named(tmp_path, capsys, monkeypatch, command, nus):
+    # Iterated, a string gives its characters and an object its keys.
+    monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+    doc = {"nus": nus, "horizon": 5} if command == "run" else {**BASE, "nus": nus}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: nus must be a list of difficulties, got {nus!r}\n"
+    assert captured.out == ""
