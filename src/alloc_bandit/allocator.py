@@ -21,9 +21,10 @@ How much of an episode is kept is one recording level (``PolicyOptions.
 record``): ``"final"`` keeps only the final cumulative regret and the
 estimators, which is all a Monte-Carlo cell needs; ``"steps"`` adds the
 per-step allocations, outcomes and regrets a trace CSV is written from;
-``"intervals"`` adds the per-step confidence intervals. Every recorded
-column is a step function, so the loop writes a value only at the step it
-changes and the rest are carried forward after it; see ``_simulate``.
+``"intervals"`` adds the per-step confidence intervals. One loop and one
+draw stream serve every level: an outcome is written where it is sampled,
+and every other recorded column, a step function, only at the step it
+changes and carried forward after it; see ``_simulate``.
 """
 
 from __future__ import annotations
@@ -233,18 +234,18 @@ def _simulate(
     draw of its step, so the stream is the one per-step sampling of every
     job would consume; a job given nothing would draw X = 0 regardless.
     The draws come in blocks of ``_DRAW_BLOCK`` steps, one block taken at
-    every ``_DRAW_BLOCK``-th step; from ``"steps"`` on they are drawn into
-    one n x K buffer, so the last block stops at the horizon (nothing draws
-    after it).
+    every ``_DRAW_BLOCK``-th step at every level; the last block may run
+    past the horizon, but the generator is dropped after the loop, so the
+    draws it consumed are never read.
 
     The loop writes each recorded column only where it changes, into a
     NaN-filled step-major history, and ``_carry_forward`` carries every
     history forward after the loop. At ``"steps"`` a step that computes a
     fill writes the fill's regret and its allocation row (a zero row, then
-    the funded takes), and ``_outcomes`` reads the kept draws. At
-    ``"intervals"`` row 0 holds the initial bounds, and a job's bound is
-    written at the step it moves (the lower bound when a probe builds the
-    estimator).
+    the funded takes), and an outcome of 1 is written where it is sampled,
+    into a zero-filled n x K byte buffer. At ``"intervals"`` row 0 holds
+    the initial bounds, and a job's bound is written at the step it moves
+    (the lower bound when a probe builds the estimator).
 
     Returns the trace, recorded at the level ``options.record`` names. Its
     metadata holds ``initial_lower_bounds`` or, for the probing runner,
@@ -289,7 +290,8 @@ def _simulate(
         regret_hist = array("d", [np.nan]) * n
         alloc_hist = array("d", [np.nan]) * (n * K)
         zero_row = array("d", [0.0]) * K
-        draw_hist = np.empty(n * K)
+        # Zero-filled, not carried forward: only a sampled 1 is written.
+        outcome_hist = bytearray(n * K)
     if intervals:
         lower_hist = array("d", [np.nan]) * (n * K)
         upper_hist = array("d", [np.nan]) * (n * K)
@@ -331,15 +333,13 @@ def _simulate(
                     alloc_hist[t * K + k] = mk
 
         if t == refill:
-            if steps:
-                block = rng.random(out=draw_hist[t * K : (t + _DRAW_BLOCK) * K])
-            else:
-                block = rng.random(_DRAW_BLOCK * K)
-            draws = memoryview(block)
+            draws = memoryview(rng.random(_DRAW_BLOCK * K))
             pos = 0
             refill += _DRAW_BLOCK
         for k, mk in touched:
             x = 1 if draws[pos + k] < mk * recips[k] else 0
+            if steps and x:
+                outcome_hist[t * K + k] = 1
             s = states[k]
             if s is None:
                 # A probing job has no estimator yet; its outcome feeds the probe.
@@ -396,7 +396,7 @@ def _simulate(
         trace.allocations = _carry_forward(alloc_hist, n, K)
         trace.regrets = _carry_forward(regret_hist, n, 1).reshape(n)
         trace.cum_regrets = np.cumsum(trace.regrets)
-        trace.observations = _outcomes(trace.allocations, draw_hist, recips)
+        trace.observations = np.frombuffer(outcome_hist, np.uint8).reshape(n, K)
     if intervals:
         trace.lower_recips = _carry_forward(lower_hist, n, K)
         trace.upper_recips = _carry_forward(upper_hist, n, K)
@@ -414,22 +414,6 @@ def _carry_forward(hist: array, n: int, K: int) -> np.ndarray:
         np.maximum.accumulate(last, out=last)
         column[:] = column[last]
     return values
-
-
-def _outcomes(allocations: np.ndarray, draws: np.ndarray, recips: Sequence[float]) -> np.ndarray:
-    """The per-step outcomes from the step loop's flat step-major draws:
-    X_k is ``draw < M_k * (1 / nu_k)``, the loop's product and comparison,
-    so a job given nothing draws X = 0. Compared ``_DRAW_BLOCK`` rows at a
-    time, so the products need one block's memory."""
-    n, K = allocations.shape
-    outcomes = np.empty((n, K), np.uint8)
-    hits = outcomes.view(np.bool_)
-    draws = draws.reshape(n, K)
-    recips = np.array(recips)
-    for start in range(0, n, _DRAW_BLOCK):
-        rows = slice(start, start + _DRAW_BLOCK)
-        np.less(draws[rows], allocations[rows] * recips, out=hits[rows])
-    return outcomes
 
 
 def run_episode(

@@ -37,6 +37,13 @@ def _difficulty(raw: str):
     return None if raw.lower() in ("null", "none", "inf") else float(raw)
 
 
+def _difficulty_text(raw: str) -> str:
+    """``raw`` as typed, once ``_difficulty`` parses it: the summary echoes
+    the difficulty as it was given."""
+    _difficulty(raw)
+    return raw
+
+
 def _parse_float_list(raw: str, item=_difficulty) -> tuple:
     parts = raw.split(",")
     if not all(part.strip() for part in parts):
@@ -84,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     mm_p.add_argument("--seed", type=int, default=0)
 
     init_p = sub.add_parser("init-stats", help="halving-probe Monte-Carlo statistics")
-    init_p.add_argument("--nu", type=str, required=True, help="difficulty (or 'inf' for unbounded)")
+    init_p.add_argument(
+        "--nu", type=_difficulty_text, required=True, help="difficulty (or 'inf' for unbounded)")
     init_p.add_argument("--reps", type=int, default=100_000)
     init_p.add_argument("--seed", type=int, default=0)
     init_p.add_argument("--out", help="optional per-replication CSV path")

@@ -365,6 +365,17 @@ class TestUsage:
         assert cli.main(["minimax", "--horizon", "50", "--k", "2", "--reps", "2"]) == 1
         assert "ALLOC_BANDIT_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,code", [((), 0), (("--bogus",), 2)], ids=["ok", "unknown-flag"])
+    def test_entrypoint_exits_with_the_command_status(self, monkeypatch, capsys, extra, code):
+        # The function the installed alloc-bandit script calls.
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+        monkeypatch.setattr(sys, "argv", ["alloc-bandit", "minimax", "--horizon", "50",
+                                          "--k", "2", "--reps", "1", *extra])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == code
+        assert capsys.readouterr().out.startswith("minimax:") == (code == 0)
+
     def test_no_subcommand(self):
         result = invoke()
         assert result.returncode != 0

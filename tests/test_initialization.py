@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from alloc_bandit.allocator import PolicyOptions
 from alloc_bandit.initialization import (
@@ -201,3 +203,20 @@ class TestRunModified:
         assert trace.allocations[0].tolist() == [0.5, 0.0]
         # unbounded job's probe fails immediately and returns a bound
         assert [r["job"] for r in trace.metadata["init_records"]] == [0]
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+# The episode's K = 1 probe is the probe that criterion 8 and init-stats
+# measure through halving_init: one uniform per step from the same stream.
+@given(st.one_of(st.none(), st.just(1e-30), st.floats(0.001, 3.0, exclude_min=True)),
+       SEEDS, SEEDS)
+@example(1e-30, 0, 0)
+def test_kernel_probe_matches_halving_init(nu, base_seed, seed):
+    # 64 steps fit the longest probe: 1e-30 succeeds until the guard.
+    trace = run_modified(ProblemInstance((nu,), MAX_HALVING_STEPS, base_seed),
+                         PolicyOptions(record="final", seed=seed))
+    record = trace.metadata["init_records"][0]
+    expected = halving_init(nu, split_rng(base_seed, seed))
+    assert (record["steps_used"], record["capped"]) == expected

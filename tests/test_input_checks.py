@@ -260,3 +260,18 @@ def test_nus_that_is_not_a_list_is_named(tmp_path, capsys, monkeypatch, command,
     captured = capsys.readouterr()
     assert captured.err == f"error: nus must be a list of difficulties, got {nus!r}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "0.3x"], ids=["word", "empty", "suffix"])
+def test_init_stats_nu_is_a_usage_error(capsys, raw):
+    assert cli.main(["init-stats", "--nu", raw, "--reps", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "error: argument --nu: invalid" in captured.err
+    assert captured.err.endswith(f" value: {raw!r}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("raw", ["-1", "0", "nan"])
+def test_init_stats_non_positive_nu_still_exits_1(capsys, raw):
+    assert cli.main(["init-stats", f"--nu={raw}", "--reps", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: difficulty must be positive")

@@ -174,7 +174,7 @@ def test_recording_memory_follows_the_returned_arrays(K, n, runner, level):
         tracemalloc.stop()
     returned = sum(getattr(trace, name).nbytes for name in PER_STEP
                    if getattr(trace, name) is not None)
-    assert peak <= 2.5 * returned, (peak, returned)
+    assert peak <= 1.75 * returned, (peak, returned)
 
 
 def traced_peak(runner, K, n, options):
