@@ -40,21 +40,30 @@ def _difficulty(raw: str):
 def _difficulty_text(raw: str) -> str:
     """``raw`` as typed, once ``_difficulty`` parses it: the summary echoes
     the difficulty as it was given."""
-    _difficulty(raw)
+    try:
+        _difficulty(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, or inf for unbounded, got {raw!r}") from None
     return raw
 
 
-def _parse_float_list(raw: str, item=_difficulty) -> tuple:
+def _parse_float_list(raw: str, item=_difficulty,
+                      form="numbers, with null for an unbounded job") -> tuple:
     parts = raw.split(",")
     if not all(part.strip() for part in parts):
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of numbers with no empty entry, got {raw!r}")
-    return tuple(map(item, parts))
+    try:
+        return tuple(map(item, parts))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of {form}, got {raw!r}") from None
 
 
 def _parse_numbers(raw: str) -> tuple:
     """Plain numbers (lower bounds): ``inf`` is a number, ``null`` an error."""
-    return _parse_float_list(raw, float)
+    return _parse_float_list(raw, float, "numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,9 @@ configured arm, and reports mean final cumulative pseudo-regret with its
 standard error. Replication streams derive from (base seed, point, arm,
 replication) through numpy SeedSequence spawn keys, so results are
 identical regardless of worker count and grids can be extended without
-perturbing existing points.
+perturbing existing points. The process pool is imported when a sweep
+first starts one, so importing this module does not load
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -241,9 +242,13 @@ def _map_cells(cell, tasks: list, workers: Optional[int]) -> list:
     """``[cell(task) for task in tasks]``, in a process pool when there is
     more than one worker and more than one task; results keep task order.
     The pool has at most one worker per task, since it may start all of
-    them at the first submit."""
+    them at the first submit. The pool machinery (``multiprocessing``) is
+    imported here, when a pool is first started, so a single episode or a
+    one-worker sweep never loads it."""
     workers = min(resolve_workers(workers), len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(cell, tasks, chunksize=1))
     return [cell(task) for task in tasks]

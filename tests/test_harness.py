@@ -300,7 +300,7 @@ class TestRunExperiment:
 
         config = small_config(grid=(0.6,), replications=3)
         serial = run_experiment(config, workers=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setenv("ALLOC_BANDIT_THREADS", env)
         pooled = run_experiment(config, workers=workers)
         assert sizes == [3]
