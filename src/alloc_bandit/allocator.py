@@ -55,8 +55,9 @@ MODES = ("weighted", "unweighted")
 # order (step-major, job-minor) is identical to per-step sampling.
 _DRAW_BLOCK = 1024
 
-# Trace CSV rows are formatted this many at a time.
-_CSV_BLOCK = 4096
+# Recorded histories are carried forward, and trace CSV rows formatted,
+# this many rows at a time, so post-loop temporaries stay one block.
+_CSV_BLOCK = 1024
 
 # 2^-64 is the smallest probe allocation; beyond that the schedule is
 # meaningless at double precision.
@@ -116,11 +117,11 @@ class RunTrace:
         """Write one row per step: t, M_k, X_k, r_t, cumregret[, L_k, U_k].
 
         Streamed to a temp file one block of ``_CSV_BLOCK`` rows at a time,
-        so memory holds one block's text, not the file's, and renamed into
-        place once every block is written: a failure in any block leaves no
-        partial output. Floats use shortest round-trip decimals so
-        re-emission is byte-identical. A trace recorded at level
-        ``"final"`` has no rows and is rejected.
+        so beyond the trace's arrays memory holds one block's text, not the
+        file's, and renamed into place once every block is written: a
+        failure in any block leaves no partial output. Floats use shortest
+        round-trip decimals so re-emission is byte-identical. A trace
+        recorded at level ``"final"`` has no rows and is rejected.
         """
         if self.allocations is None:
             raise ValueError("a trace recorded at level 'final' has no per-step rows")
@@ -131,10 +132,11 @@ class RunTrace:
         time.
 
         Per block each column becomes a list of cell strings, and the rows
-        are joined from those lists. A float column is split into runs of
-        equal bit patterns and ``repr`` runs once per run (so -0.0, nan and
-        inf print as ``repr`` prints them): the columns are step series
-        that mostly change only now and then.
+        are joined from those lists; those strings and lists, one block's
+        worth, are all the temporary memory. A float column is split into
+        runs of equal bit patterns and ``repr`` runs once per run (so -0.0,
+        nan and inf print as ``repr`` prints them): the columns are step
+        series that mostly change only now and then.
         """
         n, K = self.allocations.shape
         cols = ["t"]
@@ -234,18 +236,20 @@ def _simulate(
     draw of its step, so the stream is the one per-step sampling of every
     job would consume; a job given nothing would draw X = 0 regardless.
     The draws come in blocks of ``_DRAW_BLOCK`` steps, one block taken at
-    every ``_DRAW_BLOCK``-th step at every level; the last block may run
-    past the horizon, but the generator is dropped after the loop, so the
-    draws it consumed are never read.
+    every ``_DRAW_BLOCK``-th step at every level and only one held at a
+    time; the last block may run past the horizon, but the generator is
+    dropped after the loop, so the draws it consumed are never read.
 
     The loop writes each recorded column only where it changes, into a
     NaN-filled step-major history, and ``_carry_forward`` carries every
-    history forward after the loop. At ``"steps"`` a step that computes a
-    fill writes the fill's regret and its allocation row (a zero row, then
-    the funded takes), and an outcome of 1 is written where it is sampled,
-    into a zero-filled n x K byte buffer. At ``"intervals"`` row 0 holds
-    the initial bounds, and a job's bound is written at the step it moves
-    (the lower bound when a probe builds the estimator).
+    history forward after the loop one block of rows at a time, so beyond
+    the returned arrays a recorded episode holds one block of draws and,
+    after the loop, one block of rows. At ``"steps"`` a step that computes
+    a fill writes the fill's regret and its allocation row (a zero row,
+    then the funded takes), and an outcome of 1 is written where it is
+    sampled, into a zero-filled n x K byte buffer. At ``"intervals"`` row 0
+    holds the initial bounds, and a job's bound is written at the step it
+    moves (the lower bound when a probe builds the estimator).
 
     Returns the trace, recorded at the level ``options.record`` names. Its
     metadata holds ``initial_lower_bounds`` or, for the probing runner,
@@ -333,6 +337,7 @@ def _simulate(
                     alloc_hist[t * K + k] = mk
 
         if t == refill:
+            draws.release()  # so the old block is freed before the new one
             draws = memoryview(rng.random(_DRAW_BLOCK * K))
             pos = 0
             refill += _DRAW_BLOCK
@@ -406,13 +411,19 @@ def _simulate(
 def _carry_forward(hist: array, n: int, K: int) -> np.ndarray:
     """The flat step-major history ``hist`` as an n x K array (sharing its
     buffer), each column carried forward from its last written row over
-    the NaN rows the step loop left unwritten."""
+    the NaN rows the step loop left unwritten.
+
+    A column is filled ``_CSV_BLOCK`` rows at a time, each block together
+    with the row before it (row 0, or the previous block's filled last
+    row), so the temporaries are one block whatever n and K are."""
     values = np.frombuffer(hist).reshape(n, K)
-    step = np.arange(n)
+    step = np.arange(_CSV_BLOCK + 1)
     for column in values.T:
-        last = np.where(np.isnan(column), 0, step)
-        np.maximum.accumulate(last, out=last)
-        column[:] = column[last]
+        for start in range(1, n, _CSV_BLOCK):
+            block = column[start - 1 : start + _CSV_BLOCK]
+            last = np.where(np.isnan(block), 0, step[: len(block)])
+            np.maximum.accumulate(last, out=last)
+            block[:] = block[last]
     return values
 
 

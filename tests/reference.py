@@ -9,9 +9,11 @@ weight ``EstimatorState.update`` computes inline (it raises where the
 update caps); ``update`` is that update with its radius taken from
 ``confidence_radius_f``, against which the inline radius is checked bit
 for bit; ``trace_csv_text`` is the row-by-row form of the text
-``RunTrace.to_csv`` writes block-wise; ``simulate_dense`` is the episode
-step loop that samples and records all K jobs every step, against which the
-sparse ``allocator._simulate`` is checked byte for byte.
+``RunTrace.to_csv`` writes block-wise; ``carry_forward`` is the
+whole-column form of the fill-forward ``allocator._carry_forward`` does a
+block at a time; ``simulate_dense`` is the episode step loop that samples
+and records all K jobs every step, against which the sparse
+``allocator._simulate`` is checked byte for byte.
 
 ``Allocation`` and ``allocate`` (the greedy fill of
 ``allocator._allocate_raw`` as a K-long allocation) and ``bootstrap_ci``
@@ -21,6 +23,7 @@ serve only tests and the acceptance gate.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,6 +246,19 @@ def trace_csv_text(trace) -> str:
             row += [repr(float(v)) for v in trace.upper_recips[t]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def carry_forward(hist: array, n: int, K: int) -> np.ndarray:
+    """The flat step-major history ``hist`` as an n x K array (sharing its
+    buffer), each whole column carried forward from its last written row
+    over its NaN rows at once."""
+    values = np.frombuffer(hist).reshape(n, K)
+    step = np.arange(n)
+    for column in values.T:
+        last = np.where(np.isnan(column), 0, step)
+        np.maximum.accumulate(last, out=last)
+        column[:] = column[last]
+    return values
 
 
 def dense_fill(lower_recips: Sequence[float], budget: float = 1.0) -> list:

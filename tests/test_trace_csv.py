@@ -60,7 +60,7 @@ def hand_built_trace(n: int, K: int, intervals: bool, seed: int = 0) -> RunTrace
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("n", [0, 1, 4 * BLOCK, 4 * BLOCK + 1, 12 * BLOCK + 5])
 @pytest.mark.parametrize("intervals", [False, True])
 @pytest.mark.parametrize("K", [1, 3])
 def test_matches_row_by_row_oracle(K, intervals, n, tmp_path):
