@@ -384,7 +384,6 @@ def _simulate(
         cum += regret
 
     metadata = {
-        "instance": instance.digest(),
         "nus": list(instance.nus),
         "horizon": n,
         "base_seed": instance.base_seed,

@@ -6,9 +6,9 @@ configured arm, and reports mean final cumulative pseudo-regret with its
 standard error. Replication streams derive from (base seed, point, arm,
 replication) through numpy SeedSequence spawn keys, so results are
 identical regardless of worker count and grids can be extended without
-perturbing existing points. The process pool is imported when a sweep
-first starts one, so importing this module does not load
-``multiprocessing``.
+perturbing existing points. A sweep on more than one worker forks its
+workers directly (POSIX ``os.fork``): each runs every W-th cell and sends
+its results back over a pipe, so nothing loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import re
+import signal
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -239,19 +241,77 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
 
 
 def _map_cells(cell, tasks: list, workers: Optional[int]) -> list:
-    """``[cell(task) for task in tasks]``, in a process pool when there is
-    more than one worker and more than one task; results keep task order.
-    The pool has at most one worker per task, since it may start all of
-    them at the first submit. The pool machinery (``multiprocessing``) is
-    imported here, when a pool is first started, so a single episode or a
-    one-worker sweep never loads it."""
+    """``[cell(task) for task in tasks]``, results in task order. With more
+    than one worker (at most one per task) the tasks run in forked
+    processes: worker i runs ``tasks[i::workers]``, inheriting the inputs
+    through the fork, and sends its results back as one pickle over its own
+    pipe. The parent reads the pipes in worker order. A cell's exception is
+    re-raised with its type and message, or as a ``RuntimeError`` carrying
+    the worker's traceback when it cannot be pickled; a worker that exits
+    without sending its results raises a ``RuntimeError`` naming its exit
+    status. On every path the parent kills any worker still running and
+    reaps them all."""
     workers = min(resolve_workers(workers), len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        return [cell(task) for task in tasks]
+    results = [None] * len(tasks)
+    running = []  # (pid, read end of its pipe) of each worker not yet read
+    try:
+        for i in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(cell, tasks[i::workers], write_end)
+            os.close(write_end)
+            running.append((pid, open(read_end, "rb")))
+        for i in range(workers):
+            pid, pipe = running[0]
+            blob = pipe.read()
+            del running[0]
+            pipe.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status or not blob:
+                raise RuntimeError(
+                    f"sweep worker {i} exited with status {status} before sending its results"
+                )
+            sent, payload, text = pickle.loads(blob)
+            if not sent:
+                if payload is None:
+                    raise RuntimeError(f"a sweep cell raised an unpicklable exception:\n{text}")
+                raise payload from RuntimeError(f"in sweep worker {i}:\n{text}")
+            results[i::workers] = payload
+        return results
+    finally:
+        for pid, pipe in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(cell, tasks, chunksize=1))
-    return [cell(task) for task in tasks]
+
+def _work(cell, tasks: list, write_end: int) -> None:
+    """Body of a forked worker: send ``(True, results, None)``, or ``(False,
+    exception, traceback text)`` with the exception None when it does not
+    survive pickling, as one pickle to ``write_end``. It leaves through
+    ``os._exit``, so it never returns into the parent's code or flushes the
+    parent's stdio buffers."""
+    status = 1
+    try:
+        try:
+            blob = pickle.dumps((True, [cell(task) for task in tasks], None))
+        except Exception as exc:
+            import traceback  # only a failing worker needs it
+
+            text = traceback.format_exc()
+            try:
+                blob = pickle.dumps((False, exc, text))
+                pickle.loads(blob)
+            except Exception:
+                blob = pickle.dumps((False, None, text))
+        with open(write_end, "wb") as pipe:
+            pipe.write(blob)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _replicate(cell, groups: list, reps: int, workers: Optional[int]) -> list:

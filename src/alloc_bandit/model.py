@@ -12,7 +12,6 @@ other difficulty and lower bound to a positive value with a finite reciprocal
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -89,10 +88,6 @@ class ProblemInstance:
             horizon=doc["horizon"] if horizon is None else horizon,
             base_seed=doc.get("seed", 0) if seed is None else seed,
         )
-
-    def digest(self) -> str:
-        """Short stable identifier for trace metadata."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
 def _integer(name: str, value) -> int:

@@ -350,7 +350,6 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
         return np.array(values, dtype=dtype).reshape(n, K)
 
     metadata = {
-        "instance": instance.digest(),
         "nus": list(instance.nus),
         "horizon": n,
         "base_seed": instance.base_seed,

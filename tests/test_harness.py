@@ -2,6 +2,10 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -281,31 +285,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers,env", [(64, "1"), (None, "64")])
     def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, workers, env):
-        sizes = []
-
-        class InlinePool:
-            """Records the pool size and runs every cell in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
         config = small_config(grid=(0.6,), replications=3)
         serial = run_experiment(config, workers=1)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setenv("ALLOC_BANDIT_THREADS", env)
         pooled = run_experiment(config, workers=workers)
-        assert sizes == [3]
         assert pooled.rows == serial.rows
         assert np.array_equal(pooled.finals[(0, "weighted")], serial.finals[(0, "weighted")])
+        # Three cells: three workers, none of them this process.
+        pids = harness._map_cells(lambda task: os.getpid(), [0, 1, 2], workers)
+        assert len(set(pids)) == 3
+        assert os.getpid() not in pids
 
     def test_row_order_and_stats(self):
         config = small_config(arms=(ArmSpec(name="a"), ArmSpec(name="b", mode="unweighted")))
@@ -319,6 +308,84 @@ class TestRunExperiment:
             assert row.stderr == pytest.approx(
                 float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
             )
+
+
+class TestMapCells:
+    """Forked workers: results in task order, failures raised in the
+    parent, and no worker left behind, running or unreaped."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_in_task_order_with_an_uneven_split(self):
+        assert harness._map_cells(lambda task: task * task, list(range(7)), 3) == [
+            task * task for task in range(7)
+        ]
+
+    def test_a_cell_error_is_raised_with_its_type_and_message(self):
+        def cell(task):
+            if task == 4:
+                raise KeyError(f"bad task {task}")
+            return task
+
+        with pytest.raises(KeyError, match="bad task 4"):
+            harness._map_cells(cell, list(range(7)), 3)
+
+    def test_an_unpicklable_error_carries_the_worker_traceback(self):
+        class Local(Exception):
+            pass
+
+        def cell(task):
+            raise Local("from a local class")
+
+        with pytest.raises(RuntimeError, match="(?s)unpicklable.*Local: from a local class"):
+            harness._map_cells(cell, [0, 1], 2)
+
+    @pytest.mark.parametrize("fail,error,message", [
+        ("raise", ValueError, "first cell"),
+        ("exit", RuntimeError, "sweep worker 0 exited with status 3 before sending its results"),
+    ])
+    def test_a_failure_kills_the_workers_still_running(self, fail, error, message):
+        # Worker 0 fails at once; worker 1 would sleep for a minute.
+        def cell(task):
+            if task == 1:
+                time.sleep(60)
+            elif fail == "exit":
+                os._exit(3)
+            raise ValueError("first cell")
+
+        started = time.monotonic()
+        with pytest.raises(error, match=message):
+            harness._map_cells(cell, [0, 1], 2)
+        assert time.monotonic() - started < 30
+
+    def test_workers_never_flush_the_parents_stdio(self):
+        # A pipe makes stdout block-buffered, so "x" is still in the
+        # buffer when the workers fork; it must be written once.
+        script = ("import sys; from alloc_bandit import harness; sys.stdout.write('x'); "
+                  "harness._map_cells(abs, [1, 2, 3], 3)")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=root, check=True)
+        assert done.stdout == "x"
+
+    def test_an_interrupt_in_the_parent_kills_every_worker(self):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        started = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                harness._map_cells(lambda task: time.sleep(60), [0, 1], 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30
 
 
 class TestResolveWorkers:

@@ -66,11 +66,18 @@ VARIANTS = tuple(
 
 
 def trace_digest(trace, directory: str) -> str:
+    """The metadata hashed here carries the ``"instance"`` field the
+    runners once wrote (the first 16 hex digits of the sha256 of the
+    instance's JSON), re-derived from the kept ``nus``, ``horizon`` and
+    ``base_seed``, so the recorded digests stay valid."""
     path = os.path.join(directory, "trace.csv")
     trace.to_csv(path)
     with open(path, "rb") as handle:
         h = hashlib.sha256(handle.read())
-    h.update(json.dumps(trace.metadata, sort_keys=True).encode())
+    meta = trace.metadata
+    instance = ProblemInstance(meta["nus"], meta["horizon"], meta["base_seed"])
+    instance_id = hashlib.sha256(instance.to_json().encode()).hexdigest()[:16]
+    h.update(json.dumps({**meta, "instance": instance_id}, sort_keys=True).encode())
     for state in trace.estimators:
         if state is None:
             h.update(b"none")

@@ -1,7 +1,8 @@
-"""The process-pool machinery (``multiprocessing``) is imported only when a
-sweep starts a pool: a single episode, ``init-stats`` and a one-worker
-sweep never load it. Each case runs ``cli.main`` in a fresh interpreter,
-since this test process may already have imported it."""
+"""No path loads process-pool machinery (``multiprocessing`` or
+``concurrent.futures.process``): a sweep on several workers forks them
+directly, and a single episode, ``init-stats`` and a one-worker sweep start
+no worker at all. Each case runs ``cli.main`` in a fresh interpreter, since
+this test process may already have imported those modules."""
 
 import json
 import os
@@ -13,22 +14,25 @@ import pytest
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
+# ru_maxrss of RUSAGE_CHILDREN stays 0 until a child process has been reaped.
 SCRIPT = """
-import sys
+import resource, sys
 from alloc_bandit import cli
 status = cli.main(sys.argv[1:])
-print(status, *sorted(set(%r) & set(sys.modules)))
+forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+print(status, forked, *sorted(set(%r) & set(sys.modules)))
 """ % (POOL_MODULES,)
 
 
-def pool_modules_after(argv, threads):
-    """(exit status, pool modules loaded) after ``cli.main(argv)``."""
+def after_main(argv, threads):
+    """(exit status, whether a worker was forked, pool modules loaded)
+    after ``cli.main(argv)``."""
     env = {**os.environ, "ALLOC_BANDIT_THREADS": threads}
     result = subprocess.run([sys.executable, "-c", SCRIPT, *argv],
                             capture_output=True, text=True, env=env, cwd=PKG_ROOT)
     assert result.returncode == 0, result.stderr
-    status, *loaded = result.stdout.splitlines()[-1].split()
-    return int(status), tuple(loaded)
+    status, forked, *loaded = result.stdout.splitlines()[-1].split()
+    return int(status), forked == "True", tuple(loaded)
 
 
 def experiment_argv(tmp_path):
@@ -50,9 +54,9 @@ def test_single_process_paths_never_load_the_pool(tmp_path, case):
         "experiment": experiment_argv(tmp_path),
     }[case]
     # The environment caps the sweep at one worker; run and init-stats ignore it.
-    assert pool_modules_after(argv, threads="1") == (0, ())
+    assert after_main(argv, threads="1") == (0, False, ())
 
 
-def test_a_two_worker_sweep_loads_the_pool(tmp_path):
+def test_a_two_worker_sweep_loads_no_pool(tmp_path):
     argv = experiment_argv(tmp_path)
-    assert pool_modules_after(argv, threads="2") == (0, POOL_MODULES)
+    assert after_main(argv, threads="2") == (0, True, ())
