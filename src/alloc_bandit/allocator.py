@@ -101,6 +101,8 @@ class RunTrace:
     running sum; at ``"final"`` they are None. ``lower_recips`` /
     ``upper_recips`` hold post-update interval snapshots at level
     ``"intervals"`` (0.0 marks a job whose estimator does not exist yet).
+    ``metadata`` holds ``delta`` and, for the self-initializing runner,
+    the probe records ``init_records`` (see ``_simulate``), at every level.
     """
 
     estimators: list
@@ -252,10 +254,12 @@ def _simulate(
     moves (the lower bound when a probe builds the estimator).
 
     Returns the trace, recorded at the level ``options.record`` names. Its
-    metadata holds ``initial_lower_bounds`` or, for the probing runner,
-    ``init_records``: one dict per finished probe, in job order, with the
-    job, ``steps_used``, ``nu_lower0`` = 2^-steps_used, the per-step
-    ``consumption`` and ``capped`` (stopped by the guard, not a failure).
+    metadata holds only what the episode decided: ``delta``, the confidence
+    level used, and, for the probing runner, ``init_records``: one dict per
+    finished probe, in job order, with the ``job``, ``steps_used`` and
+    ``capped`` (stopped by the guard, not a failure). The probe's bound is
+    2^-steps_used and it consumed 2^-1 ... 2^-steps_used; the inputs
+    (instance, options, known bounds) stay with the caller.
     """
     K = instance.num_jobs
     n = instance.horizon
@@ -351,15 +355,8 @@ def _simulate(
                 local = t + 1 - k
                 if x == 1 and local < MAX_HALVING_STEPS:
                     continue
-                nu_lower0 = 2.0**-local
-                s = states[k] = build(nu_lower0)
-                records[k] = {
-                    "job": k,
-                    "steps_used": local,
-                    "nu_lower0": nu_lower0,
-                    "consumption": [2.0**-i for i in range(1, local + 1)],
-                    "capped": x == 1,
-                }
+                s = states[k] = build(2.0**-local)
+                records[k] = {"job": k, "steps_used": local, "capped": x == 1}
                 insort(order, (1.0 / s.lower_recip, k))
                 stale = True
                 if intervals:
@@ -383,18 +380,9 @@ def _simulate(
             probes = [k for k in probes if states[k] is None]
         cum += regret
 
-    metadata = {
-        "nus": list(instance.nus),
-        "horizon": n,
-        "base_seed": instance.base_seed,
-        "seed": options.seed,
-        "mode": options.mode,
-        "delta": delta,
-    }
+    metadata = {"delta": delta}
     if probing:
         metadata["init_records"] = [r for r in records if r is not None]
-    else:
-        metadata["initial_lower_bounds"] = list(lower_bounds)
     trace = RunTrace(estimators=states, metadata=metadata, final_regret=cum)
     if steps:
         trace.allocations = _carry_forward(alloc_hist, n, K)

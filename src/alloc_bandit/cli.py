@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -61,6 +62,16 @@ def _parse_float_list(raw: str, item=_difficulty,
             f"expected a comma-separated list of {form}, got {raw!r}") from None
 
 
+def _integer_text(raw: str) -> int:
+    """An integer flag: ASCII digits with an optional leading ``-``, as
+    ALLOC_BANDIT_THREADS takes them; ``int`` would also take ``1_000``,
+    ``+5``, padding and other scripts' digits. The range is checked where
+    the value is used."""
+    if not re.fullmatch("-?[0-9]+", raw):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {raw!r}")
+    return int(raw)
+
+
 def _parse_numbers(raw: str) -> tuple:
     """Plain numbers (lower bounds): ``inf`` is a number, ``null`` an error."""
     return _parse_float_list(raw, float, "numbers")
@@ -77,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = run_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--nus", type=_parse_float_list, help="difficulties, e.g. 0.4,0.6 (null = unbounded)")
     src.add_argument("--config", help="instance JSON file {nus, horizon, seed}")
-    run_p.add_argument("--horizon", type=int, help="number of steps")
-    run_p.add_argument("--seed", type=int, help="environment seed (default 0 or the config's)")
+    run_p.add_argument("--horizon", type=_integer_text, help="number of steps")
+    run_p.add_argument(
+        "--seed", type=_integer_text, help="environment seed (default 0 or the config's)")
     run_p.add_argument("--mode", choices=("weighted", "unweighted"), default="weighted")
     run_p.add_argument(
         "--lower-bounds",
@@ -91,19 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = sub.add_parser("experiment", help="run a sweep described by a JSON config")
     exp_p.add_argument("--config", required=True, help="experiment JSON config")
     exp_p.add_argument("--out", help="aggregate CSV path (overrides config output_path)")
-    exp_p.add_argument("--reps", type=int, help="override replication count")
+    exp_p.add_argument("--reps", type=_integer_text, help="override replication count")
 
     mm_p = sub.add_parser("minimax", help="stress test on the hardest instance family")
-    mm_p.add_argument("--horizon", type=int, required=True)
-    mm_p.add_argument("--k", type=int, required=True, help="number of jobs")
-    mm_p.add_argument("--reps", type=int, default=100)
-    mm_p.add_argument("--seed", type=int, default=0)
+    mm_p.add_argument("--horizon", type=_integer_text, required=True)
+    mm_p.add_argument("--k", type=_integer_text, required=True, help="number of jobs")
+    mm_p.add_argument("--reps", type=_integer_text, default=100)
+    mm_p.add_argument("--seed", type=_integer_text, default=0)
 
     init_p = sub.add_parser("init-stats", help="halving-probe Monte-Carlo statistics")
     init_p.add_argument(
         "--nu", type=_difficulty_text, required=True, help="difficulty (or 'inf' for unbounded)")
-    init_p.add_argument("--reps", type=int, default=100_000)
-    init_p.add_argument("--seed", type=int, default=0)
+    init_p.add_argument("--reps", type=_integer_text, default=100_000)
+    init_p.add_argument("--seed", type=_integer_text, default=0)
     init_p.add_argument("--out", help="optional per-replication CSV path")
     return parser
 

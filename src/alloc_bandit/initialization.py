@@ -56,8 +56,10 @@ def run_modified(instance: ProblemInstance, options: PolicyOptions = PolicyOptio
     budget among jobs whose probe has finished; one outcome is sampled per
     job from its total allocation; probe outcomes feed only the probe,
     main-policy outcomes feed only the estimators. Pseudo-regret is charged
-    against the true optimum from step 1, initialisation included. The
-    probes' records are in ``metadata["init_records"]`` (see ``_simulate``).
+    against the true optimum from step 1, initialisation included. Each
+    finished probe's record, ``{"job", "steps_used", "capped"}``, is in
+    ``metadata["init_records"]`` (see ``_simulate``); job k's bound is
+    2^-steps_used.
     """
     profile = optimal_profile(instance)
     rng = split_rng(instance.base_seed, options.seed)

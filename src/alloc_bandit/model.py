@@ -70,11 +70,6 @@ class ProblemInstance:
         """Reciprocal difficulties 1/nu_k, with 0 encoding unbounded."""
         return tuple(0.0 if nu is None else 1.0 / nu for nu in self.nus)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"nus": list(self.nus), "horizon": self.horizon, "seed": self.base_seed}
-        )
-
     @classmethod
     def from_json(cls, text: str, horizon=None, seed=None) -> "ProblemInstance":
         """Parse ``{"nus": [...], "horizon": n, "seed": s}``; ``seed`` may be
@@ -211,8 +206,6 @@ def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
         take = nu if nu < remaining else remaining
         fill.append((k, take))
         remaining -= take
-        if remaining < 0.0:
-            remaining = 0.0
     return fill
 
 

@@ -332,13 +332,7 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
             local = t + 1 - k
             if xs[k] == 0 or local == MAX_HALVING_STEPS:
                 states[k] = build(2.0**-local)
-                records[k] = {
-                    "job": k,
-                    "steps_used": local,
-                    "nu_lower0": 2.0**-local,
-                    "consumption": [2.0**-i for i in range(1, local + 1)],
-                    "capped": xs[k] == 1,
-                }
+                records[k] = {"job": k, "steps_used": local, "capped": xs[k] == 1}
         probes = [k for k in probes if states[k] is None]
         allocations.append(m)
         observations.append(xs)
@@ -349,18 +343,9 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
     def rows(values, dtype=np.float64):
         return np.array(values, dtype=dtype).reshape(n, K)
 
-    metadata = {
-        "nus": list(instance.nus),
-        "horizon": n,
-        "base_seed": instance.base_seed,
-        "seed": options.seed,
-        "mode": options.mode,
-        "delta": delta,
-    }
+    metadata = {"delta": delta}
     if probing:
         metadata["init_records"] = [r for r in records if r is not None]
-    else:
-        metadata["initial_lower_bounds"] = list(lower_bounds)
     regrets = np.array(regrets, dtype=np.float64)
     cum_regrets = np.cumsum(regrets)
     return RunTrace(

@@ -24,7 +24,7 @@ from alloc_bandit.harness import (
     minimax_stress,
     run_experiment,
 )
-from alloc_bandit.initialization import halving_init, sample_eta
+from alloc_bandit.initialization import halving_init, run_modified, sample_eta
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from reference import bootstrap_ci, brute_force_optimal
 
@@ -325,7 +325,27 @@ def test_criterion_8_expected_eta():
         se = float(etas.std(ddof=1) / math.sqrt(reps))
         ok &= mean <= 4.0 + 3 * se
         details.append(f"nu={nu:g}: {mean:.3f}<= 4+3*{se:.4f}")
-    report(8, ok, "; ".join(details))
+    # The same lemma for the step kernel's offset probes, all six jobs in
+    # one self-initializing episode per seed: every probe finishes within
+    # the horizon (job k's starts at step k+1, the guard stops it after 64).
+    nus = (0.05, 0.1, 0.3, 0.7, 1.5, 5.0)
+    instance = ProblemInstance(nus, 70, 808080)
+    episodes = 10**4
+    etas = np.empty((episodes, len(nus)))
+    for seed in range(episodes):
+        trace = run_modified(instance, PolicyOptions(record="final", seed=seed))
+        records = trace.metadata["init_records"]
+        assert [r["job"] for r in records] == list(range(len(nus)))
+        for r in records:
+            assert 2.0 ** -r["steps_used"] < nus[r["job"]]
+            etas[seed, r["job"]] = min(1.0, nus[r["job"]]) * 2.0 ** r["steps_used"]
+    kernel = []
+    for k, nu in enumerate(nus):
+        mean = float(etas[:, k].mean())
+        se = float(etas[:, k].std(ddof=1) / math.sqrt(episodes))
+        ok &= mean <= 4.0 + 3 * se
+        kernel.append(f"nu={nu:g}: {mean:.3f}<= 4+3*{se:.4f}")
+    report(8, ok, "; ".join(details) + " | kernel probes, K=6: " + "; ".join(kernel))
 
 
 # --------------------------------------------------------------------------

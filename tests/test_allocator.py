@@ -207,7 +207,6 @@ class TestRunEpisode:
         options = PolicyOptions(seed=3.0)
         assert type(options.seed) is int and options.seed == 3
         trace = run_episode(ProblemInstance((0.4, 0.6), 5, 0), (0.2, 0.3), options)
-        assert type(trace.metadata["seed"]) is int
         assert trace.metadata == run_episode(
             ProblemInstance((0.4, 0.6), 5, 0), (0.2, 0.3), PolicyOptions(seed=3)
         ).metadata
@@ -221,10 +220,9 @@ class TestRunEpisode:
             run_episode(inst, bounds)
 
     def test_metadata_records_the_bounds_and_no_probes(self):
+        # Only what the episode decided: the inputs stay with the caller.
         trace = run_episode(ProblemInstance((0.4, 0.6), 10, 0), np.array([0.2, 0.3]))
-        assert trace.metadata["initial_lower_bounds"] == [0.2, 0.3]
-        assert all(type(v) is float for v in trace.metadata["initial_lower_bounds"])
-        assert "init_records" not in trace.metadata
+        assert trace.metadata == {"delta": default_delta(10, 2)}
 
     @pytest.mark.parametrize("mode", ["weighted", "unweighted"])
     def test_one_job_one_step_runs(self, mode):

@@ -372,6 +372,27 @@ class TestUsage:
         assert cli.main(["minimax", "--horizon", "50", "--k", "2", "--reps", "2"]) == 1
         assert "ALLOC_BANDIT_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--nus", "0.4,0.6", "--horizon", "{}"],
+        ["run", "--nus", "0.4,0.6", "--horizon", "10", "--seed", "{}"],
+        ["experiment", "--config", "sweep.json", "--reps", "{}"],
+        ["minimax", "--horizon", "{}", "--k", "2"],
+        ["minimax", "--horizon", "50", "--k", "{}"],
+        ["minimax", "--horizon", "50", "--k", "2", "--reps", "{}"],
+        ["minimax", "--horizon", "50", "--k", "2", "--seed", "{}"],
+        ["init-stats", "--nu", "0.5", "--reps", "{}"],
+        ["init-stats", "--nu", "0.5", "--seed", "{}"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[argv.index('{}') - 1].lstrip('-')}")
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv):
+        # int() would take each of these; the run must not start.
+        flag = argv[argv.index("{}") - 1]
+        for raw in ("\u0661\u0660", "1_000", "+5", " 5", "5\n"):
+            assert cli.main([raw if a == "{}" else a for a in argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.endswith(
+                f"error: argument {flag}: expected an integer in ASCII digits, got {raw!r}\n")
+            assert captured.out == ""
+
     @pytest.mark.parametrize("extra,code", [((), 0), (("--bogus",), 2)], ids=["ok", "unknown-flag"])
     def test_entrypoint_exits_with_the_command_status(self, monkeypatch, capsys, extra, code):
         # The function the installed alloc-bandit script calls.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alloc_bandit.allocator import PolicyOptions
+from alloc_bandit.allocator import PolicyOptions, default_delta
 from alloc_bandit.initialization import (
     MAX_HALVING_STEPS,
     halving_init,
@@ -107,10 +107,10 @@ def probe_consumption_by_step(trace):
     consumption = np.zeros((n, K))
     for rec in trace.metadata["init_records"]:
         k = rec["job"]
-        for local, amount in enumerate(rec["consumption"], start=1):
+        for local in range(1, rec["steps_used"] + 1):
             t = k + local  # job k's probe starts at global step k+1 (1-based)
             if t <= n:
-                consumption[t - 1, k] = amount
+                consumption[t - 1, k] = 2.0**-local
     return consumption
 
 
@@ -126,9 +126,7 @@ class TestRunModified:
         records = trace.metadata["init_records"]
         assert len(records) == 2
         for rec in records:
-            assert rec["consumption"] == [2.0**-t for t in range(1, rec["steps_used"] + 1)]
-            assert rec["nu_lower0"] == rec["consumption"][-1]
-            assert rec["nu_lower0"] < inst.nus[rec["job"]]
+            assert 2.0 ** -rec["steps_used"] < inst.nus[rec["job"]]
         # during its probe a job receives exactly the scheduled amount
         for rec in records:
             k = rec["job"]
@@ -185,17 +183,13 @@ class TestRunModified:
     def test_probe_records_in_job_order_with_capped_probe(self):
         # Job 0 (unbounded) fails at once; job 1 succeeds until the guard.
         trace = run_modified(ProblemInstance((None, 1e-30), 80, 0), PolicyOptions(record="final"))
-        assert "initial_lower_bounds" not in trace.metadata
-        assert trace.metadata["init_records"] == [
-            {"job": 0, "steps_used": 1, "nu_lower0": 0.5, "consumption": [0.5], "capped": False},
-            {
-                "job": 1,
-                "steps_used": MAX_HALVING_STEPS,
-                "nu_lower0": 2.0**-64,
-                "consumption": [2.0**-t for t in range(1, 65)],
-                "capped": True,
-            },
-        ]
+        assert trace.metadata == {
+            "delta": default_delta(80, 2),
+            "init_records": [
+                {"job": 0, "steps_used": 1, "capped": False},
+                {"job": 1, "steps_used": MAX_HALVING_STEPS, "capped": True},
+            ],
+        }
 
     def test_short_horizon_leaves_probes_unfinished(self):
         inst = ProblemInstance((None, 0.5), 1, 0)

@@ -5,7 +5,10 @@ interval columns), its JSON metadata and every estimator's snapshot and
 diagnostic flags ("none" for a job whose probe never finished). The
 digests were recorded from the runners as they stood before they shared
 one step loop, so any change in sampling order, regret, estimator updates,
-interval recording or metadata shows up here.
+interval recording or metadata shows up here. The runners' metadata has
+since shrunk to ``delta`` and the probe records' ``job``, ``steps_used``
+and ``capped``; ``trace_digest`` rebuilds the fields they no longer write
+from the case's inputs before it hashes.
 
 The cases cover K in {1, 2, 3, 8, 32}, an unbounded job, tied
 difficulties, n < K (probes that never start), n = 1 with K = 2, horizons
@@ -65,19 +68,41 @@ VARIANTS = tuple(
 )
 
 
-def trace_digest(trace, directory: str) -> str:
-    """The metadata hashed here carries the ``"instance"`` field the
-    runners once wrote (the first 16 hex digits of the sha256 of the
-    instance's JSON), re-derived from the kept ``nus``, ``horizon`` and
-    ``base_seed``, so the recorded digests stay valid."""
+def trace_digest(trace, directory: str, instance, options, lower_bounds) -> str:
+    """The metadata hashed here is the one the runners wrote when the
+    digests were recorded, rebuilt from the episode's inputs: the copied
+    ``nus``, ``horizon``, ``base_seed``, ``seed`` and ``mode``, the
+    ``"instance"`` field (the first 16 hex digits of the sha256 of the
+    instance's JSON), the known ``initial_lower_bounds`` or, in each probe
+    record, ``nu_lower0`` = 2^-steps_used and the consumption 2^-1 ...
+    2^-steps_used. The trace's own metadata (``delta`` and the probe
+    records) enters as written, so the recorded digests stay valid."""
     path = os.path.join(directory, "trace.csv")
     trace.to_csv(path)
     with open(path, "rb") as handle:
         h = hashlib.sha256(handle.read())
-    meta = trace.metadata
-    instance = ProblemInstance(meta["nus"], meta["horizon"], meta["base_seed"])
-    instance_id = hashlib.sha256(instance.to_json().encode()).hexdigest()[:16]
-    h.update(json.dumps({**meta, "instance": instance_id}, sort_keys=True).encode())
+    doc = {"nus": list(instance.nus), "horizon": instance.horizon, "seed": instance.base_seed}
+    meta = {
+        **trace.metadata,
+        "nus": list(instance.nus),
+        "horizon": instance.horizon,
+        "base_seed": instance.base_seed,
+        "seed": options.seed,
+        "mode": options.mode,
+        "instance": hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16],
+    }
+    if lower_bounds is None:
+        meta["init_records"] = [
+            {
+                **r,
+                "nu_lower0": 2.0 ** -r["steps_used"],
+                "consumption": [2.0**-i for i in range(1, r["steps_used"] + 1)],
+            }
+            for r in trace.metadata["init_records"]
+        ]
+    else:
+        meta["initial_lower_bounds"] = list(map(float, lower_bounds))
+    h.update(json.dumps(meta, sort_keys=True).encode())
     for state in trace.estimators:
         if state is None:
             h.update(b"none")
@@ -97,7 +122,9 @@ def case_digests(name: str, runner: str, directory: str) -> dict:
             trace = run_episode(instance, lower_bounds, options)
         else:
             trace = run_modified(instance, options)
-        out[f"{mode}/{'intervals' if intervals else 'plain'}"] = trace_digest(trace, directory)
+        bounds = lower_bounds if runner == "episode" else None
+        digest = trace_digest(trace, directory, instance, options, bounds)
+        out[f"{mode}/{'intervals' if intervals else 'plain'}"] = digest
     return out
 
 
