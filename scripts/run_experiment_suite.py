@@ -7,7 +7,8 @@ over the horizon on a fully coverable instance, critical_point sweeps the
 second difficulty through the point where it stops being coverable, and
 estimator_comparison pits the weighted estimator against the unweighted
 baseline. Full scale (300 replications, horizons to 1e6) takes hours;
---scale trims replications and the largest horizons for a desk-scale pass.
+--scale, a fraction in (0, 1], trims replications and the largest horizons
+for a desk-scale pass.
 """
 
 import argparse
@@ -34,12 +35,24 @@ def load_config(name: str, scale: float, out_dir: str) -> ExperimentConfig:
     return ExperimentConfig.from_json(json.dumps(doc))
 
 
+def scale_fraction(text: str) -> float:
+    """``--scale`` as a float in (0, 1]; anything else (nan, inf, 0, -1, 2)
+    is a usage error rather than a silent full or one-rep run."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1], got {text!r}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="results", help="directory for CSVs")
     parser.add_argument(
         "--scale",
-        type=float,
+        type=scale_fraction,
         default=1.0,
         help="fraction of the reference replication count (e.g. 0.1 for a quick pass)",
     )

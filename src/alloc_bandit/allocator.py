@@ -40,7 +40,6 @@ import numpy as np
 
 from .estimator import EstimatorState
 from .model import (
-    OptimalProfile,
     ProblemInstance,
     _allocate_raw,
     _bounds,
@@ -217,7 +216,7 @@ def default_delta(horizon: int, num_jobs: int) -> float:
 def _simulate(
     instance: ProblemInstance,
     options: PolicyOptions,
-    profile: OptimalProfile,
+    rho_star: float,
     rng: np.random.Generator,
     lower_bounds: Optional[Sequence[float]],
 ) -> RunTrace:
@@ -230,7 +229,8 @@ def _simulate(
     take their share first, the main policy fills the rest over the fill
     order of jobs that have an estimator, one outcome is sampled per job
     that received resources, and only main-policy outcomes update
-    estimators. Pseudo-regret is charged from step 1; a fill's regret is
+    estimators. Pseudo-regret, ``rho_star`` (``optimal_profile``) less the
+    fill's expected reward, is charged from step 1; a fill's regret is
     computed with the fill and charged on every step the fill holds.
 
     Per-step work scales with the jobs that receive resources, not with K.
@@ -266,7 +266,6 @@ def _simulate(
     delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
     weighted = options.mode == "weighted"
     recips = instance.recips
-    rho_star = profile.rho_star
     probing = lower_bounds is None
     steps = options.record != "final"
     intervals = options.record == "intervals"
@@ -432,6 +431,6 @@ def run_episode(
     lbs = _bounds("initial_lower_bounds", initial_lower_bounds)
     if len(lbs) != instance.num_jobs:
         raise ValueError(f"expected {instance.num_jobs} initial lower bounds, got {len(lbs)}")
-    profile = optimal_profile(instance)
+    rho_star = optimal_profile(instance)
     rng = split_rng(instance.base_seed, options.seed)
-    return _simulate(instance, options, profile, rng, lbs)
+    return _simulate(instance, options, rho_star, rng, lbs)

@@ -16,16 +16,17 @@ and equals 1 while the upper bound is infinite. The radius is
 ``confidence_radius_f(r_max, v2, delta) / sum_wm``, which ``update``
 computes inline so that a sample costs one call; the tests pin that copy
 to ``confidence_radius_f`` bit for bit.
+
+The state holds only what the policy reads; the regret analysis's counts
+(updates t, fully allocated steps T) live with the test oracle.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from math import log, sqrt
 
 WEIGHT_CAP = 1e12
-FULL_ALLOC_RTOL = 1e-12
 
 
 def confidence_radius_f(r_max: float, v2: float, delta: float) -> float:
@@ -58,9 +59,7 @@ class EstimatorState:
         "sum_wx",
         "sum_wm",
         "r_max",
-        "t",
         "delta",
-        "full_alloc_steps",
         "weighted",
         "weight_capped",
         "collapsed",
@@ -72,16 +71,14 @@ class EstimatorState:
         self.sum_wx = 0.0
         self.sum_wm = 0.0
         self.r_max = 0.0
-        self.t = 0
         self.delta = delta
-        self.full_alloc_steps = 0
         self.weighted = weighted
         # Diagnostics: weight hit the numerical cap / interval would have
         # inverted (possible only when coverage has already failed).
         self.weight_capped = False
         self.collapsed = False
 
-    def update(self, m: float, x: int) -> "EstimatorState":
+    def update(self, m: float, x: int) -> None:
         """Fold in one (allocation, outcome) sample and tighten the interval.
 
         Requires 0 < m <= nu_lower (the policy never allocates past its
@@ -89,7 +86,7 @@ class EstimatorState:
         uses the pre-update upper bound; the variance proxy uses the
         pre-update lower bound against the full weighted mass. The radius
         repeats ``confidence_radius_f``'s operations in the same order, so
-        the two agree bit for bit. O(1) per call. Mutates and returns self.
+        the two agree bit for bit. O(1) per call; mutates the state.
         """
         lower_prev = self.lower_recip
         upper_prev = self.upper_recip
@@ -111,7 +108,6 @@ class EstimatorState:
         r_max = self.r_max
         if w > r_max:
             r_max = self.r_max = w
-        self.t += 1
 
         # confidence_radius_f(r_max, v2, delta) with v1 = v2 + 1.
         v1 = sum_wm * lower_prev + 1.0
@@ -131,27 +127,3 @@ class EstimatorState:
             self.collapsed = True
         self.lower_recip = lower_new
         self.upper_recip = upper_new
-
-        nu_lower_prev = 1.0 / lower_prev
-        if abs(m - nu_lower_prev) <= FULL_ALLOC_RTOL * nu_lower_prev:
-            self.full_alloc_steps += 1
-        return self
-
-    def snapshot(self) -> str:
-        """JSON snapshot of the whole state, flags included; doubles
-        round-trip bit-exactly (shortest repr)."""
-        return json.dumps(
-            {
-                "L": self.lower_recip,
-                "U": self.upper_recip,
-                "sum_wx": self.sum_wx,
-                "sum_wm": self.sum_wm,
-                "r_max": self.r_max,
-                "t": self.t,
-                "delta": self.delta,
-                "T": self.full_alloc_steps,
-                "weighted": self.weighted,
-                "weight_capped": self.weight_capped,
-                "collapsed": self.collapsed,
-            }
-        )

@@ -56,11 +56,11 @@ def run_modified(instance: ProblemInstance, options: PolicyOptions = PolicyOptio
     budget among jobs whose probe has finished; one outcome is sampled per
     job from its total allocation; probe outcomes feed only the probe,
     main-policy outcomes feed only the estimators. Pseudo-regret is charged
-    against the true optimum from step 1, initialisation included. Each
-    finished probe's record, ``{"job", "steps_used", "capped"}``, is in
-    ``metadata["init_records"]`` (see ``_simulate``); job k's bound is
-    2^-steps_used.
+    against rho* (``optimal_profile``) from step 1, initialisation
+    included. Each finished probe's record, ``{"job", "steps_used",
+    "capped"}``, is in ``metadata["init_records"]`` (see ``_simulate``);
+    job k's bound is 2^-steps_used.
     """
-    profile = optimal_profile(instance)
+    rho_star = optimal_profile(instance)
     rng = split_rng(instance.base_seed, options.seed)
-    return _simulate(instance, options, profile, rng, None)
+    return _simulate(instance, options, rho_star, rng, None)

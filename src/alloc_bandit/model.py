@@ -175,20 +175,6 @@ def _check_keys(doc, where: str, known, required) -> None:
             raise ValueError(f"{where} is missing required key {key!r}")
 
 
-@dataclass(frozen=True)
-class OptimalProfile:
-    """Optimal allocation and derived quantities for a known instance.
-
-    ``m_star`` is the per-job optimal allocation, ``ell`` the number of
-    jobs fully allocated by the optimal policy (in increasing difficulty)
-    and ``rho_star`` the optimal expected number of completions per step.
-    """
-
-    m_star: tuple
-    ell: int
-    rho_star: float
-
-
 def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
     """Greedy fill over a fill order: a sequence of ``(nu, k)``, easiest
     job first, ties toward the lowest index. The step kernel fills over
@@ -209,24 +195,23 @@ def _allocate_raw(order: Sequence[tuple], budget: float) -> list:
     return fill
 
 
-def optimal_profile(instance: ProblemInstance) -> OptimalProfile:
-    """Best fixed allocation: the policy's greedy fill applied to the true
-    difficulties.
+def optimal_profile(instance: ProblemInstance) -> float:
+    """The optimal expected number of completions per step, rho*: the
+    reward of the policy's greedy fill applied to the true difficulties.
 
     Jobs are filled in increasing difficulty, each receiving min(nu,
-    remaining budget), so the first job that cannot be fully covered absorbs
-    the whole remainder and all later jobs receive nothing. Ties are broken
-    by original job index (stable sort); unbounded difficulties sort last.
+    remaining budget), so the first ell jobs are fully covered, the next
+    one absorbs the remainder s* and all later jobs receive nothing; rho* is
+    ell + s* / nu of that next job. Ties are broken by original job index
+    (stable sort); unbounded difficulties sort last.
     """
     K = instance.num_jobs
     recips = instance.recips
     order = sorted(range(K), key=lambda k: (-recips[k], k))
     nus = [math.inf if nu is None else nu for nu in instance.nus]
     fill = _allocate_raw([(nus[k], k) for k in order], 1.0)
-    m = [0.0] * K
-    for k, take in fill:
-        m[k] = float(take)
-    ell = sum(take == nus[k] for k, take in fill)
-    s_star = m[order[ell]] if ell < K else 0.0
-    rho_star = float(ell) + (s_star * recips[order[ell]] if ell < K else 0.0)
-    return OptimalProfile(m_star=tuple(m), ell=ell, rho_star=rho_star)
+    ell = sum(take == nus[k] for k, take in fill)  # a prefix: jobs fully covered
+    if ell == len(fill):  # no job covered in part
+        return float(ell)
+    k, s_star = fill[ell]
+    return float(ell) + float(s_star) * recips[k]

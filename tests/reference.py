@@ -4,16 +4,27 @@ inline, kept out of the public API.
 ``sample_step`` and ``instantaneous_regret`` are one step's sampling and
 pseudo-regret over all K jobs, which the episode loop computes only for
 the jobs it funds, the regret once per fill; ``brute_force_optimal``
-cross-checks ``optimal_profile`` by grid search; ``weight`` is the sample
-weight ``EstimatorState.update`` computes inline (it raises where the
-update caps); ``update`` is that update with its radius taken from
-``confidence_radius_f``, against which the inline radius is checked bit
-for bit; ``trace_csv_text`` is the row-by-row form of the text
-``RunTrace.to_csv`` writes block-wise; ``carry_forward`` is the
-whole-column form of the fill-forward ``allocator._carry_forward`` does a
-block at a time; ``simulate_dense`` is the episode step loop that samples
-and records all K jobs every step, against which the sparse
-``allocator._simulate`` is checked byte for byte.
+cross-checks ``optimal_profile`` by grid search, and ``optimal_fill`` is
+the optimal allocation m* and its count ell of fully covered jobs, of
+which the library keeps only rho*; ``weight`` is the sample weight
+``EstimatorState.update`` computes inline (it raises where the update
+caps).
+
+``OracleState`` is the estimator state of the analysis: the kernel's nine
+slots plus the update count ``t`` and the count ``full_alloc_steps`` of
+fully allocated steps, T_k(t). ``update`` is the kernel's update written
+out on it, with its radius taken from ``confidence_radius_f``, against
+which the inline radius is checked bit for bit; ``snapshot`` is the
+state's JSON text, which the golden digests hash; ``replay`` rebuilds
+every job's state from a recorded trace, and ``kernel_slots`` is what the
+tests compare of a kernel state and its replay.
+
+``trace_csv_text`` is the row-by-row form of the text ``RunTrace.to_csv``
+writes block-wise; ``carry_forward`` is the whole-column form of the
+fill-forward ``allocator._carry_forward`` does a block at a time;
+``simulate_dense`` is the episode step loop that samples and records all
+K jobs every step, against which the sparse ``allocator._simulate`` is
+checked byte for byte.
 
 ``Allocation`` and ``allocate`` (the greedy fill of
 ``allocator._allocate_raw`` as a K-long allocation) and ``bootstrap_ci``
@@ -22,6 +33,7 @@ serve only tests and the acceptance gate.
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -36,15 +48,13 @@ from alloc_bandit.allocator import (
     _allocate_raw,
     default_delta,
 )
-from alloc_bandit.estimator import (
-    FULL_ALLOC_RTOL,
-    WEIGHT_CAP,
-    EstimatorState,
-    confidence_radius_f,
-)
-from alloc_bandit.model import OptimalProfile, ProblemInstance
+from alloc_bandit.estimator import WEIGHT_CAP, EstimatorState, confidence_radius_f
+from alloc_bandit.model import ProblemInstance
 
 BUDGET_TOL = 1e-9
+# An allocation within this relative distance of the lower bound in force
+# counts as a full allocation of the job.
+FULL_ALLOC_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,16 +157,34 @@ def sample_step(instance: ProblemInstance, alloc, rng: np.random.Generator) -> O
     return Observation(tuple(_sample_raw(m, instance.recips, u)))
 
 
-def instantaneous_regret(profile: OptimalProfile, alloc, instance: ProblemInstance) -> float:
-    """Per-step pseudo-regret: optimal expected reward minus the
-    allocation's expected reward (true success probabilities, not samples).
+def instantaneous_regret(rho_star: float, alloc, instance: ProblemInstance) -> float:
+    """Per-step pseudo-regret: optimal expected reward ``rho_star`` minus
+    the allocation's expected reward (true success probabilities, not
+    samples).
     """
     m = alloc.m if isinstance(alloc, Allocation) else Allocation(tuple(alloc)).m
     reward = 0.0
     for k, recip in enumerate(instance.recips):
         p = m[k] * recip
         reward += p if p < 1.0 else 1.0
-    return profile.rho_star - reward
+    return rho_star - reward
+
+
+def optimal_fill(instance: ProblemInstance) -> tuple:
+    """The optimal allocation behind ``optimal_profile``'s rho*, as
+    ``(m_star, ell)``: the greedy fill over the true difficulties (easiest
+    first, ties toward the lowest index, unbounded jobs last) as a K-long
+    tuple, and the number of jobs it covers fully."""
+    K = instance.num_jobs
+    recips = instance.recips
+    order = sorted(range(K), key=lambda k: (-recips[k], k))
+    nus = [math.inf if nu is None else nu for nu in instance.nus]
+    fill = _allocate_raw([(nus[k], k) for k in order], 1.0)
+    m = [0.0] * K
+    for k, take in fill:
+        m[k] = float(take)
+    ell = sum(take == nus[k] for k, take in fill)
+    return tuple(m), ell
 
 
 class WeightOverflowError(ValueError):
@@ -181,9 +209,32 @@ def weight(state, m: float) -> float:
     return 1.0 / (1.0 - mu)
 
 
-def update(state: EstimatorState, m: float, x: int) -> EstimatorState:
+class OracleState:
+    """A job's estimator state as the analysis sees it: every slot of
+    ``EstimatorState`` plus ``t``, the number of updates, and
+    ``full_alloc_steps``, T_k(t), the number of updates whose allocation
+    was the whole lower bound in force (within ``FULL_ALLOC_RTOL``)."""
+
+    __slots__ = EstimatorState.__slots__ + ("t", "full_alloc_steps")
+
+    def __init__(self, nu_lower0: float, delta: float, weighted: bool = True):
+        self.lower_recip = 1.0 / nu_lower0
+        self.upper_recip = 0.0
+        self.sum_wx = 0.0
+        self.sum_wm = 0.0
+        self.r_max = 0.0
+        self.t = 0
+        self.delta = delta
+        self.full_alloc_steps = 0
+        self.weighted = weighted
+        self.weight_capped = False
+        self.collapsed = False
+
+
+def update(state: OracleState, m: float, x: int) -> OracleState:
     """``EstimatorState.update`` written out attribute by attribute, with
-    the radius from ``confidence_radius_f`` rather than computed inline."""
+    the radius from ``confidence_radius_f`` rather than computed inline,
+    and counting ``t`` and ``full_alloc_steps``."""
     lower_prev = state.lower_recip
     nu_lower_prev = 1.0 / lower_prev
     if state.weighted:
@@ -220,6 +271,65 @@ def update(state: EstimatorState, m: float, x: int) -> EstimatorState:
     if abs(m - nu_lower_prev) <= FULL_ALLOC_RTOL * nu_lower_prev:
         state.full_alloc_steps += 1
     return state
+
+
+def snapshot(state: OracleState) -> str:
+    """JSON text of the whole state, counts and flags included; doubles
+    round-trip bit-exactly (shortest repr)."""
+    return json.dumps(
+        {
+            "L": state.lower_recip,
+            "U": state.upper_recip,
+            "sum_wx": state.sum_wx,
+            "sum_wm": state.sum_wm,
+            "r_max": state.r_max,
+            "t": state.t,
+            "delta": state.delta,
+            "T": state.full_alloc_steps,
+            "weighted": state.weighted,
+            "weight_capped": state.weight_capped,
+            "collapsed": state.collapsed,
+        }
+    )
+
+
+def kernel_slots(state) -> tuple:
+    """Every ``EstimatorState`` slot of ``state`` (a kernel state or an
+    ``OracleState``) as ``repr`` text, so that equal tuples mean equal bits
+    (``repr`` tells -0.0 from 0.0 and round-trips every double)."""
+    return tuple(repr(getattr(state, name)) for name in EstimatorState.__slots__)
+
+
+def replay(trace: RunTrace, options, lower_bounds) -> list:
+    """Each job's final ``OracleState``, rebuilt from a trace recorded at
+    ``"steps"`` or ``"intervals"`` by the runner ``lower_bounds`` names:
+    ``run_episode`` with those known bounds, or ``run_modified`` when None.
+
+    A job starts from its known bound before step 1, or, when probed, from
+    2^-steps_used after its probe's last step, global step job +
+    steps_used; a job whose probe never finished has no state (None). The
+    job's (M_k, X_k) then goes through ``update`` at every later step where
+    M_k > 0. The confidence level comes from ``options`` and the horizon,
+    not from the trace's metadata. So a kernel state equals its replay only
+    if the kernel updated exactly on the main policy's allocations, in
+    step order, with the same arithmetic."""
+    M, X = trace.allocations, trace.observations
+    n, K = M.shape
+    delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
+    weighted = options.mode == "weighted"
+    if lower_bounds is None:
+        starts = [
+            (r["job"], 2.0 ** -r["steps_used"], r["job"] + r["steps_used"])
+            for r in trace.metadata["init_records"]
+        ]
+    else:
+        starts = [(k, float(bound), 0) for k, bound in enumerate(lower_bounds)]
+    states = [None] * K
+    for k, nu_lower0, first in starts:
+        state = states[k] = OracleState(nu_lower0, delta, weighted)
+        for t in np.flatnonzero(M[first:, k] > 0.0) + first:
+            update(state, float(M[t, k]), int(X[t, k]))
+    return states
 
 
 def trace_csv_text(trace) -> str:
@@ -279,7 +389,7 @@ def dense_fill(lower_recips: Sequence[float], budget: float = 1.0) -> list:
     return m
 
 
-def simulate_dense(instance, options, profile, rng, lower_bounds):
+def simulate_dense(instance, options, rho_star, rng, lower_bounds):
     """The episode step loop with O(K) work per step: every step refills all
     K jobs from scratch, samples every job and records full rows. Oracle for
     ``allocator._simulate``, which takes the same arguments and must return
@@ -289,7 +399,6 @@ def simulate_dense(instance, options, profile, rng, lower_bounds):
     delta = options.delta_override if options.delta_override is not None else default_delta(n, K)
     weighted = options.mode == "weighted"
     recips = instance.recips
-    rho_star = profile.rho_star
     probing = lower_bounds is None
 
     def build(nu_lower0: float) -> EstimatorState:

@@ -26,7 +26,7 @@ from alloc_bandit.harness import (
 )
 from alloc_bandit.initialization import halving_init, run_modified, sample_eta
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
-from reference import bootstrap_ci, brute_force_optimal
+from reference import bootstrap_ci, brute_force_optimal, kernel_slots, replay
 
 # Most of the suite's wall time; `pytest -m "not slow"` leaves this module out.
 pytestmark = pytest.mark.slow
@@ -53,7 +53,7 @@ def test_criterion_1_oracle_equivalence():
         nus = tuple(float(v) for v in rng.uniform(0.05, 5.0, size=K))
         inst = ProblemInstance(nus, 10, 0)
         _, oracle_reward = brute_force_optimal(inst, grid_step)
-        reward = optimal_profile(inst).rho_star
+        reward = optimal_profile(inst)
         bound = K * grid_step / min(min(nus), 1.0)
         err = abs(reward - oracle_reward)
         max_err = max(max_err, err)
@@ -91,9 +91,8 @@ def run_coverage_batch(delta: float) -> dict:
     inst = ProblemInstance((COV_NU,), COV_N, 20001)
     options_base = dict(delta_override=delta, record="intervals")
     for rep in range(COV_REPS):
-        trace = run_episode(
-            inst, [COV_LOWER0], PolicyOptions(seed=rep, **options_base)
-        )
+        options = PolicyOptions(seed=rep, **options_base)
+        trace = run_episode(inst, [COV_LOWER0], options)
         L = np.concatenate(([1.0 / COV_LOWER0], trace.lower_recips[:, 0]))
         U = np.concatenate(([0.0], trace.upper_recips[:, 0]))
         M = trace.allocations[:, 0]
@@ -138,9 +137,12 @@ def run_coverage_batch(delta: float) -> dict:
                 eps_post[mask]
                 <= (1 + RTOL) * np.sqrt(c2 / (alpha * COV_LOWER0 * u_count[mask]))
             )
-        # the estimator's full-allocation count must agree with the trace
-        state = trace.estimators[0]
-        checks["diag_T"] = state.full_alloc_steps == int(t_count[-1])
+        # the estimator must equal its replay from the trace, and the
+        # replay's full-allocation count must agree with the trace
+        oracle = replay(trace, options, [COV_LOWER0])[0]
+        checks["replay"] = kernel_slots(trace.estimators[0]) == kernel_slots(oracle) and (
+            oracle.full_alloc_steps == int(t_count[-1])
+        )
         bad = [name for name, ok in checks.items() if not ok]
         if bad:
             violations.append((rep, bad))

@@ -11,7 +11,7 @@ from alloc_bandit.allocator import PolicyOptions, _allocate_raw, default_delta, 
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from alloc_bandit.estimator import EstimatorState
 from alloc_bandit.initialization import run_modified
-from reference import allocate, instantaneous_regret, sample_step
+from reference import allocate, instantaneous_regret, optimal_fill, replay, sample_step
 
 
 def recips_of(nu_lowers):
@@ -126,7 +126,7 @@ class TestRunEpisode:
         rng = split_rng(inst.base_seed, opts.seed)
         delta = default_delta(inst.horizon, inst.num_jobs)
         states = [EstimatorState(lb, delta) for lb in (0.2, 0.3)]
-        profile = optimal_profile(inst)
+        rho_star = optimal_profile(inst)
         for t in range(inst.horizon):
             m = allocate([s.lower_recip for s in states]).m
             obs = sample_step(inst, m, rng)
@@ -135,7 +135,7 @@ class TestRunEpisode:
             for k in range(2):
                 if m[k] > 0:
                     states[k].update(m[k], obs.x[k])
-            assert trace.regrets[t] == instantaneous_regret(profile, m, inst)
+            assert trace.regrets[t] == instantaneous_regret(rho_star, m, inst)
 
     def test_allocation_never_exceeds_lower_bound(self):
         inst = ProblemInstance((0.4, 0.6, 2.5), 400, 8)
@@ -148,17 +148,22 @@ class TestRunEpisode:
 
     def test_full_allocation_count_dominates_ell(self):
         # on runs whose intervals stay valid, at least ell jobs are fully
-        # allocated at every step
+        # allocated at every step; the replayed T_k(t) counts those steps
         inst = ProblemInstance((0.3, 0.5, 0.9), 500, 5)
-        profile = optimal_profile(inst)
-        trace = run_episode(inst, [0.15, 0.25, 0.45], PolicyOptions(record="intervals"))
+        _, ell = optimal_fill(inst)
+        options = PolicyOptions(record="intervals")
+        trace = run_episode(inst, [0.15, 0.25, 0.45], options)
         recips = np.asarray(inst.recips)
         assert np.all(trace.lower_recips >= recips - 1e-12)  # coverage held
         nu_lower_prev = np.array([0.15, 0.25, 0.45])
+        counts = np.zeros(3, dtype=int)
         for t in range(inst.horizon):
-            full = np.sum(np.abs(trace.allocations[t] - nu_lower_prev) <= 1e-12 * nu_lower_prev)
-            assert full >= profile.ell
+            full = np.abs(trace.allocations[t] - nu_lower_prev) <= 1e-12 * nu_lower_prev
+            assert np.sum(full) >= ell
+            counts += full
             nu_lower_prev = 1.0 / trace.lower_recips[t]
+        replayed = replay(trace, options, [0.15, 0.25, 0.45])
+        assert [s.full_alloc_steps for s in replayed] == counts.tolist()
 
     def test_cumulative_regret_non_decreasing(self):
         inst = ProblemInstance((0.4, 0.6), 300, 2)

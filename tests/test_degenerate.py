@@ -5,15 +5,24 @@ some halving probes never start).
 
 The estimator checks nothing, so its update contract is checked here, on
 the trace: a job that had an estimator before step t is given at most its
-lower bound from step t-1, and every outcome is 0 or 1."""
+lower bound from step t-1, and every outcome is 0 or 1.
+
+On the same instances every final estimator state must equal the one
+``reference.replay`` rebuilds from the trace, slot for slot: the kernel
+updates a job exactly on the main policy's allocations to it, in step
+order, with the oracle's arithmetic."""
+
+import math
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alloc_bandit.allocator import MODES, PolicyOptions, run_episode
+from alloc_bandit.estimator import EstimatorState
 from alloc_bandit.initialization import run_modified
 from alloc_bandit.model import ProblemInstance
+from reference import kernel_slots, replay
 
 TIES = (0.25, 0.5, 1.0)
 
@@ -70,3 +79,40 @@ def test_budget_outcomes_and_regret_on_degenerate_instances(case, mode, seed):
     options = PolicyOptions(mode=mode, record="intervals", seed=seed)
     check_trace(run_episode(instance, lower_bounds, options), unbounded, lower_bounds)
     check_trace(run_modified(instance, options), unbounded)
+
+
+@given(degenerate_instances(), st.sampled_from(MODES), st.integers(0, 2**32 - 1))
+@example((ProblemInstance((0.16, 0.05), 54, 40), (1.0, 0.76)), "weighted", 0)  # collapses
+@example((ProblemInstance((2.7, 0.02), 154, 99), (0.75, 0.79)), "weighted", 0)  # caps a weight
+@example((ProblemInstance((1e-25, 0.5), 120, 6), (1e-26, 0.25)), "unweighted", 0)  # capped probe
+@example((ProblemInstance((0.3, None, 0.7), 2, 6), (0.1, 0.5, 0.3)), "weighted", 2)  # n < K
+def test_final_states_equal_their_replay(case, mode, seed):
+    instance, lower_bounds = case
+    options = PolicyOptions(mode=mode, record="steps", seed=seed)
+    for trace, bounds in (
+        (run_episode(instance, lower_bounds, options), lower_bounds),
+        (run_modified(instance, options), None),
+    ):
+        oracles = replay(trace, options, bounds)
+        for state, oracle in zip(trace.estimators, oracles, strict=True):
+            if state is None or oracle is None:
+                assert state is oracle  # a probe that never finished
+            else:
+                assert kernel_slots(state) == kernel_slots(oracle)
+
+
+def test_replay_compares_every_kernel_slot():
+    # One ulp or one flag off in any of the nine slots breaks the equality.
+    instance = ProblemInstance((0.4, 0.6), 80, 3)
+    options = PolicyOptions()
+    trace = run_episode(instance, (0.2, 0.3), options)
+    state, oracle = trace.estimators[0], replay(trace, options, (0.2, 0.3))[0]
+    assert len(EstimatorState.__slots__) == 9
+    assert len(kernel_slots(state)) == 9
+    assert kernel_slots(state) == kernel_slots(oracle)
+    for name in EstimatorState.__slots__:
+        value = getattr(state, name)
+        nudged = (not value) if isinstance(value, bool) else math.nextafter(value, math.inf)
+        setattr(state, name, nudged)
+        assert kernel_slots(state) != kernel_slots(oracle), name
+        setattr(state, name, value)

@@ -10,7 +10,7 @@ from alloc_bandit.allocator import PolicyOptions, run_episode
 from alloc_bandit.estimator import EstimatorState, confidence_radius_f
 from alloc_bandit.model import ProblemInstance, split_rng
 import reference
-from reference import WeightOverflowError, weight
+from reference import OracleState, WeightOverflowError, kernel_slots, weight
 
 
 def radius_oracle(r_max, v2, delta, dps=50):
@@ -81,17 +81,19 @@ class TestWeight:
 class TestUpdate:
     def test_one_step_worked_example(self):
         state = EstimatorState(0.5, 0.01)
-        state.update(0.5, 1)
+        assert state.update(0.5, 1) is None
         assert state.sum_wx == 1.0
         assert state.sum_wm == 0.5
         assert state.r_max == 1.0
-        assert state.t == 1
         # recip estimate 2, variance proxy 0.5 * 2 = 1, radius f(1,1,0.01)/0.5
         radius = radius_oracle(1, 1, 0.01) / 0.5
         assert radius == pytest.approx(29.436136914120847, rel=1e-12)
         assert state.lower_recip == 2.0  # min(2, 2 + radius)
         assert state.upper_recip == 0.0  # max(0, 2 - radius) clamped at 0
-        assert state.full_alloc_steps == 1
+        # The oracle counts the update, and it allocated the whole bound.
+        oracle = reference.update(OracleState(0.5, 0.01), 0.5, 1)
+        assert (oracle.t, oracle.full_alloc_steps) == (1, 1)
+        assert kernel_slots(oracle) == kernel_slots(state)
 
     def test_zero_outcome_leaves_sum_wx(self):
         state = EstimatorState(0.5, 0.01)
@@ -100,11 +102,13 @@ class TestUpdate:
         assert state.sum_wm == 0.25
 
     def test_full_allocation_detected_within_tolerance(self):
-        state = EstimatorState(0.5, 0.01)
-        state.update(0.5 * (1 - 1e-13), 1)
+        # T_k(t) is the analysis's count, kept by the oracle state only.
+        state = OracleState(0.5, 0.01)
+        reference.update(state, 0.5 * (1 - 1e-13), 1)
         assert state.full_alloc_steps == 1
-        state.update(0.25, 1)
+        reference.update(state, 0.25, 1)
         assert state.full_alloc_steps == 1
+        assert state.t == 2
 
     def test_weight_cap_flag(self):
         state = EstimatorState(0.5, 0.01)
@@ -203,15 +207,16 @@ def update_sequences(draw):
 
 def assert_updates_match_reference(weighted, nu_lower0, delta, steps) -> EstimatorState:
     """Apply ``steps`` through the library's update and through
-    ``reference.update``; after every update every slot, flags included,
-    must agree bit for bit."""
+    ``reference.update``; after every update every kernel slot, flags
+    included, must agree bit for bit."""
     state = EstimatorState(nu_lower0, delta, weighted=weighted)
-    oracle = EstimatorState(nu_lower0, delta, weighted=weighted)
+    oracle = OracleState(nu_lower0, delta, weighted=weighted)
     for i, (frac, x) in enumerate(steps):
         m = frac / state.lower_recip
         state.update(m, x)
         reference.update(oracle, m, x)
-        assert state.snapshot() == oracle.snapshot(), f"update {i}: m={m!r}, x={x}"
+        assert kernel_slots(state) == kernel_slots(oracle), f"update {i}: m={m!r}, x={x}"
+    assert oracle.t == len(steps)
     return state
 
 
@@ -238,17 +243,17 @@ class TestInlineRadius:
     def test_weight_cap_within_tolerance(self):
         # m within 1e-12 of 1/U caps the weight without a collapse.
         state = EstimatorState(0.5, 0.01)
-        oracle = EstimatorState(0.5, 0.01)
+        oracle = OracleState(0.5, 0.01)
         for s in (state, oracle):
             s.lower_recip = 2.0
             s.upper_recip = 2.0 * (1.0 - 5e-13)
         state.update(0.5, 1)
         reference.update(oracle, 0.5, 1)
         assert state.weight_capped and not state.collapsed
-        assert state.snapshot() == oracle.snapshot()
+        assert kernel_slots(state) == kernel_slots(oracle)
 
 
-# Snapshot key -> EstimatorState slot; every slot has a key.
+# Snapshot key -> OracleState slot; every slot has a key.
 SNAPSHOT_SLOTS = {
     "L": "lower_recip",
     "U": "upper_recip",
@@ -264,9 +269,9 @@ SNAPSHOT_SLOTS = {
 }
 
 
-def assert_snapshot_exact(state: EstimatorState) -> None:
+def assert_snapshot_exact(state: OracleState) -> None:
     """The parsed snapshot holds every slot with its type, floats bit for bit."""
-    doc = json.loads(state.snapshot())
+    doc = json.loads(reference.snapshot(state))
     assert set(doc) == set(SNAPSHOT_SLOTS)
     for key, slot in SNAPSHOT_SLOTS.items():
         want = getattr(state, slot)
@@ -278,40 +283,50 @@ def assert_snapshot_exact(state: EstimatorState) -> None:
 
 
 class TestSnapshot:
+    """``reference.snapshot`` of the oracle state, which the golden digests
+    hash in place of the kernel state."""
+
     def test_round_trip_bit_exact(self):
         rng = split_rng(5)
-        state = EstimatorState(0.3, 2.5e-9)
+        state = OracleState(0.3, 2.5e-9)
         for _ in range(500):
             m = min(1.0 / state.lower_recip, 0.55)
-            state.update(m, int(rng.random() < m / 0.7))
+            reference.update(state, m, int(rng.random() < m / 0.7))
+        assert state.full_alloc_steps > 0
         assert_snapshot_exact(state)
 
     def test_collapsed_flag_survives(self):
         # Known bounds above the true difficulties void coverage; with a
         # loose delta job 2's interval collapses.
         instance = ProblemInstance((0.3, 0.5), 300, 0)
-        trace = run_episode(instance, (0.6, 0.9), PolicyOptions(delta_override=0.5))
-        state = trace.estimators[1]
+        options = PolicyOptions(delta_override=0.5)
+        trace = run_episode(instance, (0.6, 0.9), options)
+        state = reference.replay(trace, options, (0.6, 0.9))[1]
         assert state.collapsed
+        assert kernel_slots(state) == kernel_slots(trace.estimators[1])
         assert_snapshot_exact(state)
 
     def test_unweighted_and_capped_states_survive(self):
-        state = EstimatorState(0.3, 1e-4, weighted=False)
-        state.update(0.3, 1)
+        state = OracleState(0.3, 1e-4, weighted=False)
+        reference.update(state, 0.3, 1)
         assert_snapshot_exact(state)
-        capped = EstimatorState(0.5, 0.01)
+        capped = OracleState(0.5, 0.01)
         capped.lower_recip = capped.upper_recip = 2.0
-        capped.update(0.5, 1)
+        reference.update(capped, 0.5, 1)
         assert capped.weight_capped
         assert_snapshot_exact(capped)
 
     def test_schema_keys(self):
-        doc = json.loads(EstimatorState(0.5, 0.01).snapshot())
-        assert set(doc) == {
+        doc = json.loads(reference.snapshot(OracleState(0.5, 0.01)))
+        assert list(doc) == [
             "L", "U", "sum_wx", "sum_wm", "r_max", "t", "delta", "T",
             "weighted", "weight_capped", "collapsed",
+        ]
+        assert sorted(SNAPSHOT_SLOTS.values()) == sorted(OracleState.__slots__)
+        # The kernel keeps what the policy reads; the oracle adds the counts.
+        assert set(OracleState.__slots__) - set(EstimatorState.__slots__) == {
+            "t", "full_alloc_steps",
         }
-        assert sorted(SNAPSHOT_SLOTS.values()) == sorted(EstimatorState.__slots__)
 
 
 def test_coverage_smoke():

@@ -472,7 +472,7 @@ class TestMinimax:
         n, K = 500, 3
         eps = math.sqrt(K / (8 * n))
         for inst in minimax_family(n, K):
-            assert optimal_profile(inst).rho_star == pytest.approx((1 + eps) / 2, rel=1e-12)
+            assert optimal_profile(inst) == pytest.approx((1 + eps) / 2, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from alloc_bandit.initialization import (
     sample_eta,
 )
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
+from reference import kernel_slots, replay
 
 
 class ScriptedRng:
@@ -152,23 +153,28 @@ class TestRunModified:
         assert trace.allocations[-1].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_estimators_see_only_policy_allocations(self):
+        # The replay feeds each job only the steps after its probe, so a
+        # kernel state that took a probe step would differ from it.
         inst = ProblemInstance((0.4, 0.6), 500, 21)
-        trace = run_modified(inst)
+        options = PolicyOptions()
+        trace = run_modified(inst, options)
         consumption = probe_consumption_by_step(trace)
         main = trace.allocations - consumption
+        oracles = replay(trace, options, None)
         for k, state in enumerate(trace.estimators):
+            assert kernel_slots(state) == kernel_slots(oracles[k])
             expected_updates = int(np.count_nonzero(main[:, k] > 0))
-            assert state.t == expected_updates
+            assert oracles[k].t == expected_updates
             assert state.sum_wm <= main[:, k].sum() * state.r_max + 1e-9
 
     def test_regret_charged_against_true_optimum_from_step_one(self):
         inst = ProblemInstance((0.4, 0.6), 100, 2)
-        profile = optimal_profile(inst)
+        rho_star = optimal_profile(inst)
         trace = run_modified(inst)
         recips = np.asarray(inst.recips)
-        expected = profile.rho_star - np.minimum(1.0, trace.allocations * recips).sum(axis=1)
+        expected = rho_star - np.minimum(1.0, trace.allocations * recips).sum(axis=1)
         assert np.allclose(trace.regrets, expected, atol=1e-12)
-        assert trace.regrets[0] == pytest.approx(profile.rho_star - min(1.0, 0.5 / 0.4))
+        assert trace.regrets[0] == pytest.approx(rho_star - min(1.0, 0.5 / 0.4))
 
     def test_deterministic(self):
         inst = ProblemInstance((0.4, 0.6), 800, 33)

@@ -4,8 +4,8 @@
 receive resources; ``reference.simulate_dense`` does all K every step. Both
 episode runners are run once on each kernel (the oracle swapped in for
 ``_simulate`` where each runner looks it up) and must agree on the trace
-CSV text, the metadata (probe records included) and every estimator's
-snapshot and diagnostic flags.
+CSV text, the metadata (probe records included) and every estimator slot
+(``reference.kernel_slots``), diagnostic flags included.
 
 Instances are random: K in {1, 2, 3, 8, 32}, difficulties drawn partly
 from a short list so that ties are common, some unbounded jobs, known lower
@@ -29,7 +29,7 @@ from alloc_bandit import allocator, initialization
 from alloc_bandit.allocator import MODES, PolicyOptions, run_episode
 from alloc_bandit.initialization import run_modified
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
-from reference import simulate_dense
+from reference import kernel_slots, simulate_dense
 from test_degenerate import degenerate_instances
 
 TIE_POOL = (0.05, 0.25, 0.5, 0.5, 0.9, 2.0)
@@ -79,7 +79,7 @@ CASES = [
 
 def artifacts(trace) -> tuple:
     states = [
-        None if s is None else (s.snapshot(), s.weighted, s.weight_capped, s.collapsed)
+        None if s is None else kernel_slots(s)
         for s in trace.estimators
     ]
     return "".join(trace._csv_blocks()), json.dumps(trace.metadata, sort_keys=True), states
@@ -123,13 +123,13 @@ def test_cases_cover_the_degenerate_instances():
 @example((ProblemInstance((0.3, None, 0.7), 2, 6), (0.1, 0.5, 0.3)), 2, ("probe_unstarted",))
 def test_sparse_interval_writes_match_dense_oracle(case, seed, expect):
     instance, lower_bounds = case
-    profile = optimal_profile(instance)
+    rho_star = optimal_profile(instance)
     fired = set()
     for mode in MODES:
         options = PolicyOptions(mode=mode, record="intervals", seed=seed)
         for bounds in (lower_bounds, None):
             sparse, dense = (
-                simulate(instance, options, profile, split_rng(instance.base_seed, seed), bounds)
+                simulate(instance, options, rho_star, split_rng(instance.base_seed, seed), bounds)
                 for simulate in (allocator._simulate, simulate_dense)
             )
             assert artifacts(sparse) == artifacts(dense)

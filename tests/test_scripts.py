@@ -41,6 +41,19 @@ def test_suite_configs_load(name, scale, tmp_path):
             assert max(horizons) <= 10**5
 
 
+@pytest.mark.parametrize(
+    "args", [["--k", "1", "--reps", "2"], ["--k", "2", "--reps", "0"]], ids=["k1", "reps0"]
+)
+def test_minimax_stress_rejects_bad_arguments(args, monkeypatch, capsys):
+    stress = load_script("run_minimax_stress")
+    monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+    monkeypatch.setattr(sys, "argv", ["run_minimax_stress.py", "--horizons", "50", *args])
+    assert stress.main() == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_minimax_stress_main(monkeypatch, capsys):
     stress = load_script("run_minimax_stress")
     monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
@@ -53,6 +66,20 @@ def test_minimax_stress_main(monkeypatch, capsys):
     assert len(lines) == 2
     assert lines[1].startswith("n=      50 K=2: sup_regret=")
     assert "ratio=" in lines[1] and "per-instance=" in lines[1]
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "2"])
+def test_experiment_suite_rejects_a_scale_outside_the_unit_interval(scale, monkeypatch, capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", [
+        "run_experiment_suite.py", "--scale", scale, "--only", "horizon_plateau",
+        "--out-dir", str(out_dir),
+    ])
+    with pytest.raises(SystemExit) as exc:
+        suite.main()
+    assert exc.value.code == 2
+    assert f"argument --scale: expected a fraction in (0, 1], got '{scale}'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_experiment_suite_main(monkeypatch, capsys, tmp_path):
