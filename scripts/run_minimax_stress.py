@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Stress the self-initializing policy on the hardest instance family and
 report sup-regret against the universal sqrt(nK)/(16 sqrt 2) floor.
+Integer flags take ASCII digits only, as the CLI's do (exit 2 otherwise).
 Arguments the family rejects (say --k 1 or --reps 0) print ``error: ...``
 to stderr and exit 1, as ``alloc-bandit minimax`` does."""
 
@@ -8,15 +9,16 @@ import argparse
 import math
 import sys
 
+from alloc_bandit.cli import _integer_text
 from alloc_bandit.harness import minimax_stress
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--horizons", type=int, nargs="+", default=[1000, 10000])
-    parser.add_argument("--k", type=int, default=2)
-    parser.add_argument("--reps", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--horizons", type=_integer_text, nargs="+", default=[1000, 10000])
+    parser.add_argument("--k", type=_integer_text, default=2)
+    parser.add_argument("--reps", type=_integer_text, default=100)
+    parser.add_argument("--seed", type=_integer_text, default=0)
     args = parser.parse_args()
 
     floor = 1.0 / (16.0 * math.sqrt(2.0))

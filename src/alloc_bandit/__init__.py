@@ -10,7 +10,6 @@ from .harness import (
     ExperimentResult,
     MinimaxStressResult,
     emit_csv,
-    minimax_family,
     minimax_stress,
     run_experiment,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ProblemInstance",
     "emit_csv",
     "halving_init",
-    "minimax_family",
     "minimax_stress",
     "run_episode",
     "run_experiment",

@@ -1,11 +1,11 @@
 """Monte-Carlo experiment harness: declarative sweeps, aggregation, CSV.
 
-An experiment sweeps one parameter (a job difficulty or the horizon) over
-a grid, runs a number of independent replications per grid point for each
-configured arm, and reports mean final cumulative pseudo-regret with its
-standard error. Replication streams derive from (base seed, point, arm,
-replication) through numpy SeedSequence spawn keys, so results are
-identical regardless of worker count and grids can be extended without
+An experiment sweeps one parameter (a job difficulty, the horizon or the
+hard job of the minimax family) over a grid, runs independent replications
+per grid point and arm, and reports mean final cumulative pseudo-regret
+with its standard error. Replication streams derive from (base seed,
+point, arm, replication) through numpy SeedSequence spawn keys, so results
+are identical regardless of worker count and grids can be extended without
 perturbing existing points. A sweep on more than one worker forks its
 workers directly (POSIX ``os.fork``): each runs every W-th cell and sends
 its results back over a pipe, so nothing loads ``multiprocessing``.
@@ -68,9 +68,11 @@ class ArmSpec:
 class ExperimentConfig:
     """Declarative sweep description.
 
-    ``sweep`` is either ``"horizon"`` (grid entries are horizons; ``horizon``
-    is unused) or ``"nu<j>"`` with a 1-based job index (grid entries replace
-    that difficulty; ``horizon`` is required and stays fixed).
+    ``sweep`` is ``"horizon"`` (grid entries are horizons; ``horizon`` is
+    unused), ``"nu<j>"`` with a 1-based job index (grid entries replace that
+    difficulty) or ``"hard_job"`` (grid entries are 1-based job indices whose
+    difficulty is divided by 1 + sqrt(K/(8n)); needs 8n >= K >= 2). The
+    last two require ``horizon``, which stays fixed.
     """
 
     experiment_id: str
@@ -108,13 +110,15 @@ class ExperimentConfig:
                     f"arm {arm.name!r}: expected {len(self.nus)} lower bounds, "
                     f"got {len(arm.lower_bounds)}"
                 )
-        if self.sweep != "horizon":
+        if self.sweep not in ("horizon", "hard_job"):
             idx = self._sweep_index()
             if not (1 <= idx <= len(self.nus)):
                 raise ValueError(f"sweep index {idx} out of range for {len(self.nus)} jobs")
-        # A difficulty sweep needs the horizon; a horizon sweep ignores it.
+        # A difficulty or hard_job sweep needs the horizon; a horizon sweep ignores it.
         if self.horizon is not None or self.sweep != "horizon":
             object.__setattr__(self, "horizon", _count("horizon", self.horizon))
+        if self.sweep == "hard_job":
+            _hard_job_eps(self.horizon, len(self.nus))
         # ProblemInstance owns the instance rules; every grid point must pass them.
         for point, value in enumerate(self.grid):
             try:
@@ -125,7 +129,7 @@ class ExperimentConfig:
     def _sweep_index(self) -> int:
         # int() alone would also take "nu+2", "nu 2" and non-ASCII digits.
         if not (isinstance(self.sweep, str) and re.fullmatch("nu[1-9][0-9]*", self.sweep)):
-            raise ValueError(f"sweep must be 'horizon' or 'nu<j>', got {self.sweep!r}")
+            raise ValueError(f"sweep must be 'horizon', 'hard_job' or 'nu<j>', got {self.sweep!r}")
         return int(self.sweep[2:])
 
     def instance_at(self, point: int) -> ProblemInstance:
@@ -135,7 +139,14 @@ class ExperimentConfig:
         if self.sweep == "horizon":
             return ProblemInstance(self.nus, value, self.base_seed)
         nus = list(self.nus)
-        nus[self._sweep_index() - 1] = value
+        if self.sweep != "hard_job":
+            nus[self._sweep_index() - 1] = value
+        elif not (value.is_integer() and 1 <= value <= len(nus)):
+            raise ValueError(f"a hard_job grid entry must be a job index in 1..{len(nus)}")
+        elif nus[int(value) - 1] is None:
+            raise ValueError(f"job {int(value)} is unbounded (null), so it cannot be the hard job")
+        else:
+            nus[int(value) - 1] /= 1.0 + _hard_job_eps(self.horizon, len(nus))
         return ProblemInstance(tuple(nus), self.horizon, self.base_seed)
 
     @classmethod
@@ -152,6 +163,13 @@ class ExperimentConfig:
                 _check_fields(arm, ArmSpec, "arm")
             doc["arms"] = [ArmSpec(**arm) for arm in doc["arms"]]
         return cls(**doc)
+
+
+def _hard_job_eps(n: int, num_jobs: int) -> float:
+    """eps = sqrt(K/(8n)) of the minimax family on K jobs over n steps."""
+    if not (num_jobs >= 2 and 8 * n >= num_jobs):
+        raise ValueError(f"need 8n >= K >= 2, got n={n}, K={num_jobs}")
+    return math.sqrt(num_jobs / (8.0 * n))
 
 
 def _check_fields(doc, cls, where: str) -> None:
@@ -208,14 +226,12 @@ def _cell_record(trace, instance: ProblemInstance) -> tuple:
 
 
 def _run_cell(args) -> tuple:
-    config, point, arm_index, rep = args
-    arm = config.arms[arm_index]
-    instance = config.instance_at(point)
+    instance, arm, point, arm_index, rep = args
     options = PolicyOptions(
         mode=arm.mode,
         delta_override=arm.delta_override,
         record="final",
-        seed=_stream_seed(config.base_seed, point, arm_index, rep),
+        seed=_stream_seed(instance.base_seed, point, arm_index, rep),
     )
     if arm.lower_bounds is None:
         trace = run_modified(instance, options)
@@ -314,37 +330,27 @@ def _work(cell, tasks: list, write_end: int) -> None:
         os._exit(status)
 
 
-def _replicate(cell, groups: list, reps: int, workers: Optional[int]) -> list:
-    """Run ``cell((*group, rep))`` for every group and replication through
-    ``_map_cells``. Per group, in order, returns ``(finals, health)``: the
-    final regrets as an array and the health counts summed."""
-    tasks = [(*group, rep) for group in groups for rep in range(reps)]
-    outcomes = _map_cells(cell, tasks, workers)
-    out = []
-    for start in range(0, len(outcomes), reps):
-        regrets, *counts = zip(*outcomes[start : start + reps])
-        out.append((np.asarray(regrets), tuple(map(sum, counts))))
-    return out
-
-
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentResult:
-    """Run the full sweep and aggregate (deterministic given base seed,
-    independent of worker count and completion order)."""
-    groups = [
-        (config, point, arm_index)
-        for point in range(len(config.grid))
-        for arm_index in range(len(config.arms))
-    ]
+    """Run the full sweep, one instance per grid point, and aggregate
+    (deterministic given base seed, independent of worker count)."""
     reps = config.replications
+    tasks = [
+        (instance, arm, point, arm_index, rep)
+        for point, instance in enumerate(map(config.instance_at, range(len(config.grid))))
+        for arm_index, arm in enumerate(config.arms)
+        for rep in range(reps)
+    ]
+    outcomes = _map_cells(_run_cell, tasks, workers)
     result = ExperimentResult(rows=[])
-    aggregated = _replicate(_run_cell, groups, reps, workers)
-    for (_, point, arm_index), (finals, health) in zip(groups, aggregated):
-        arm = config.arms[arm_index]
+    for start in range(0, len(tasks), reps):
+        _, arm, point, _, _ = tasks[start]
+        regrets, *counts = zip(*outcomes[start : start + reps])
+        finals = np.asarray(regrets)
         mean = float(np.mean(finals))
         stderr = float(np.std(finals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         result.rows.append(PointStats(config.grid[point], arm.name, mean, stderr, reps))
         result.finals[(point, arm.name)] = finals
-        result.health[(point, arm.name)] = health
+        result.health[(point, arm.name)] = tuple(map(sum, counts))
     return result
 
 
@@ -358,22 +364,6 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
             f"{row.grid_value!r},{row.arm},{row.mean_regret!r},{row.stderr!r},{row.reps}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def minimax_family(n: int, num_jobs: int, base_seed: int = 0) -> list:
-    """Hardest-to-distinguish instance family: in member k every job has
-    difficulty 2 except job k at 2/(1+eps), eps = sqrt(K/(8n))."""
-    n = _integer("n", n)
-    num_jobs = _integer("num_jobs", num_jobs)
-    if not (num_jobs >= 2 and 8 * n >= num_jobs):
-        raise ValueError(f"need 8n >= K >= 2, got n={n}, K={num_jobs}")
-    eps = math.sqrt(num_jobs / (8.0 * n))
-    family = []
-    for k in range(num_jobs):
-        nus = [2.0] * num_jobs
-        nus[k] = 2.0 / (1.0 + eps)
-        family.append(ProblemInstance(tuple(nus), n, base_seed))
-    return family
 
 
 @dataclass(frozen=True)
@@ -404,20 +394,22 @@ def minimax_stress(
     base_seed: int = 0,
     workers: Optional[int] = None,
 ) -> MinimaxStressResult:
-    """Empirical worst case over the minimax family: the self-initializing
-    policy's mean regret, maximized over family members, and its ratio to
-    sqrt(nK). ``health`` is ``(coverage_failures, weight_capped, collapsed)``
-    summed over all members and replications, as in ``ExperimentResult``."""
+    """Empirical worst case over the minimax family, run as a ``"hard_job"``
+    sweep over K jobs at difficulty 2: the self-initializing policy's mean
+    regret, maximized over members, and its ratio to sqrt(nK). ``health``
+    is the ``ExperimentResult`` counts summed over members and replications."""
     reps = _count("reps", reps)
-    family = minimax_family(n, num_jobs, base_seed)
-    groups = [(instance, idx, base_seed) for idx, instance in enumerate(family)]
-    outcomes = _replicate(_minimax_cell, groups, reps, workers)
-    means = tuple(float(np.mean(finals)) for finals, _ in outcomes)
-    health = tuple(map(sum, zip(*(counts for _, counts in outcomes))))
-    return MinimaxStressResult(means, family[0].horizon, len(family), reps, health)
+    n, num_jobs = _integer("n", n), _integer("num_jobs", num_jobs)
+    _hard_job_eps(n, num_jobs)  # first: the config reports K < 1 as empty nus, a bad seed before it
+    config = ExperimentConfig(
+        experiment_id="minimax", nus=(2.0,) * num_jobs, horizon=n, sweep="hard_job",
+        grid=range(1, num_jobs + 1), replications=reps, base_seed=base_seed,
+    )
+    result = run_experiment(config, workers)
+    means = tuple(row.mean_regret for row in result.rows)
+    health = tuple(map(sum, zip(*result.health.values())))
+    return MinimaxStressResult(means, n, num_jobs, reps, health)
 
 
-def _minimax_cell(args) -> tuple:
-    instance, idx, base_seed, rep = args
-    options = PolicyOptions(record="final", seed=_stream_seed(base_seed, idx, 0, rep))
-    return _cell_record(run_modified(instance, options), instance)
+# Not called here; kept so that bench/tracing.py can wrap this binding by name.
+_minimax_cell = _run_cell

@@ -423,13 +423,21 @@ def test_criterion_10_cli_determinism(tmp_path):
             assert result.returncode == 0, result.stderr
             csvs[(threads, attempt)] = out.read_bytes()
 
+    minimax_args = ("minimax", "--horizon", "500", "--k", "4", "--reps", "6", "--seed", "3")
+    minimax = set()
+    for threads in ("1", "1", "4", "4"):
+        result = cli(*minimax_args, threads=threads)
+        assert result.returncode == 0, result.stderr
+        minimax.add((result.stdout, result.stderr))
+
     ok = (
         traces[0] == traces[1]
         and len(set(csvs.values())) == 1
+        and len(minimax) == 1
     )
     report(
         10,
         ok,
-        "trace CSV identical across reruns; experiment CSV identical across "
-        "reruns and thread counts {1, 4}",
+        "trace CSV identical across reruns; experiment CSV and minimax stdout and "
+        "stderr identical across reruns and thread counts {1, 4}",
     )

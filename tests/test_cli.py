@@ -281,6 +281,24 @@ class TestExperimentCommand:
         assert result.returncode == 1
         assert "missing required key 'sweep'" in result.stderr
 
+    def test_hard_job_sweep_is_the_minimax_run(self, tmp_path):
+        # minimax_stress is this sweep: its means come back bit for bit from the CSV.
+        config = tmp_path / "hard.json"
+        config.write_text(json.dumps({
+            "experiment_id": "hard", "nus": [2.0, 2.0, 2.0], "horizon": 60,
+            "sweep": "hard_job", "grid": [1, 2, 3], "replications": 4, "base_seed": 11,
+        }))
+        out = tmp_path / "hard.csv"
+        result = invoke("experiment", "--config", str(config), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["grid_value", "arm", "mean_regret", "stderr", "reps"]
+        stress = harness.minimax_stress(60, 3, 4, 11, workers=1)
+        assert tuple(float(row[2]) for row in rows[1:]) == stress.per_instance_mean
+        minimax = invoke("minimax", "--horizon", "60", "--k", "3", "--reps", "4", "--seed", "11")
+        assert result.stderr == minimax.stderr
+        assert result.stderr.startswith("health: 12 cells, ")
+
     def test_missing_config_file(self, tmp_path):
         result = invoke("experiment", "--config", str(tmp_path / "nope.json"))
         assert result.returncode != 0
@@ -306,11 +324,11 @@ class TestMinimaxCommand:
 
     def test_health_sums_over_members_and_reps(self, monkeypatch, capsys):
         def cell(args):
-            _, idx, _, rep = args
-            return 0.0, idx, rep, 2
+            _, _, point, _, rep = args
+            return 0.0, point, rep, 2
 
         monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
-        monkeypatch.setattr(harness, "_minimax_cell", cell)
+        monkeypatch.setattr(harness, "_run_cell", cell)
         assert cli.main(["minimax", "--horizon", "50", "--k", "3", "--reps", "2"]) == 0
         err = capsys.readouterr().err
         assert err == "health: 6 cells, coverage_failures=6 weight_capped=3 collapsed=12\n"

@@ -17,7 +17,6 @@ from alloc_bandit.harness import (
     ExperimentConfig,
     _stream_seed,
     emit_csv,
-    minimax_family,
     minimax_stress,
     resolve_workers,
     run_experiment,
@@ -83,7 +82,8 @@ class TestConfig:
         for sweep in ("nu+2", "nu 2", "nu2 ", "nu\u0662", "nu02", "nu0", "nu-1", "nu"):
             with pytest.raises(ValueError) as info:
                 small_config(sweep=sweep)
-            assert str(info.value) == f"sweep must be 'horizon' or 'nu<j>', got {sweep!r}"
+            assert str(info.value) == (
+                f"sweep must be 'horizon', 'hard_job' or 'nu<j>', got {sweep!r}")
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({
                 "experiment_id": "x", "nus": [0.5], "sweep": "nu1", "grid": [0.5],
@@ -454,6 +454,15 @@ class TestEmitCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def minimax_family(n, K):
+    """The minimax family's members, as the grid points of a hard_job sweep."""
+    config = ExperimentConfig(
+        experiment_id="family", nus=(2.0,) * K, horizon=n, sweep="hard_job",
+        grid=range(1, K + 1), replications=1,
+    )
+    return [config.instance_at(point) for point in range(K)]
+
+
 class TestMinimax:
     def test_family_construction(self):
         family = minimax_family(800, 2)
@@ -461,6 +470,7 @@ class TestMinimax:
         assert eps == pytest.approx(0.0176776695, rel=1e-8)
         assert family[0].nus[0] == pytest.approx(2 / (1 + eps), rel=1e-12)
         assert family[0].nus[0] == pytest.approx(1.965259, rel=1e-6)
+        assert family[0].nus[0] == 2.0 / (1.0 + math.sqrt(2 / (8.0 * 800)))  # the same float
         assert family[0].nus[1] == 2.0
         assert family[1].nus == (2.0, family[1].nus[1])
         for k, inst in enumerate(family):
@@ -475,10 +485,11 @@ class TestMinimax:
             assert optimal_profile(inst) == pytest.approx((1 + eps) / 2, rel=1e-12)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 8n >= K >= 2, got n=100, K=1$"):
             minimax_family(100, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 8n >= K >= 2, got n=1, K=100$"):
             minimax_family(1, 100)
+        assert len(minimax_family(1, 8)) == 8  # 8n = K is allowed
 
     def test_stress_smoke_deterministic(self):
         a = minimax_stress(300, 2, reps=5, base_seed=3, workers=1)

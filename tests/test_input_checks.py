@@ -18,7 +18,7 @@ BASE = {"experiment_id": "mini", "nus": [0.4, 0.6], "sweep": "horizon", "grid": 
 
 @pytest.mark.parametrize("key,value,message", [
     ("nus", 0.4, "nus must be a list of difficulties, got 0.4"),
-    ("sweep", 5, "sweep must be 'horizon' or 'nu<j>', got 5"),
+    ("sweep", 5, "sweep must be 'horizon', 'hard_job' or 'nu<j>', got 5"),
     ("grid", 5, "grid must be a list of numbers, got 5"),
     ("grid", "300", "grid must be a list of numbers, got '300'"),
     ("grid", ["300"], "grid must be a list of numbers, got ['300']"),
@@ -196,6 +196,42 @@ def test_minimax_whole_float_counts_are_stored_as_ints():
     result = minimax_stress(10.0, 2.0, 1.0, workers=1)
     assert (result.n, result.num_jobs, result.reps) == (10, 2, 1)
     assert all(type(v) is int for v in (result.n, result.num_jobs, result.reps))
+
+
+@pytest.mark.parametrize("args,message", [
+    ((100, 0, 1), "need 8n >= K >= 2, got n=100, K=0"),
+    ((100, -3, 1), "need 8n >= K >= 2, got n=100, K=-3"),
+    ((0, 2, 1), "need 8n >= K >= 2, got n=0, K=2"),
+    ((1, 100, 1, -1), "need 8n >= K >= 2, got n=1, K=100"),  # the family's rule before the seed's
+    ((10, 2, 1, -1), "base_seed must lie in [0, 2**64), got -1"),
+])
+def test_minimax_family_rule_is_checked_first(args, message):
+    with pytest.raises(ValueError) as info:
+        minimax_stress(*args, workers=1)
+    assert str(info.value) == message
+
+
+HARD_JOB = {"experiment_id": "hard", "nus": [2.0, 2.0, 2.0], "horizon": 50, "sweep": "hard_job",
+            "grid": [1, 2, 3], "replications": 2}
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"grid": [1, 0]}, "grid[1] = 0.0: a hard_job grid entry must be a job index in 1..3"),
+    ({"grid": [4]}, "grid[0] = 4.0: a hard_job grid entry must be a job index in 1..3"),
+    ({"grid": [1.5]}, "grid[0] = 1.5: a hard_job grid entry must be a job index in 1..3"),
+    ({"nus": [2.0, None, 2.0], "grid": [1, 2]},
+     "grid[1] = 2.0: job 2 is unbounded (null), so it cannot be the hard job"),
+    ({"nus": [2.0], "grid": [1]}, "need 8n >= K >= 2, got n=50, K=1"),
+    ({"horizon": 1, "nus": [2.0] * 9, "grid": [1]}, "need 8n >= K >= 2, got n=1, K=9"),
+    ({"horizon": None}, "horizon must be an integer, got None"),
+], ids=["zero", "past-K", "fraction", "unbounded", "K1", "8n-below-K", "no-horizon"])
+def test_hard_job_config_errors(tmp_path, overrides, message):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**HARD_JOB, **overrides}))
+    result = invoke("experiment", "--config", str(path))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("overrides,message", [

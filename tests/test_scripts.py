@@ -54,6 +54,21 @@ def test_minimax_stress_rejects_bad_arguments(args, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw", ["1_00", "+2", " 2", "2\n", "\u0662"])
+@pytest.mark.parametrize("flag", ["--horizons", "--k", "--reps", "--seed"])
+def test_minimax_stress_integer_flags_take_ascii_digits_only(flag, raw, monkeypatch, capsys):
+    # int() would take each of these; alloc-bandit minimax refuses them, and so does the script.
+    stress = load_script("run_minimax_stress")
+    monkeypatch.setattr(sys, "argv", ["run_minimax_stress.py", flag, raw])
+    with pytest.raises(SystemExit) as exc:
+        stress.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"error: argument {flag}: expected an integer in ASCII digits, got {raw!r}\n")
+    assert captured.out == ""
+
+
 def test_minimax_stress_main(monkeypatch, capsys):
     stress = load_script("run_minimax_stress")
     monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
