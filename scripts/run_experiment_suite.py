@@ -6,9 +6,10 @@ dependence on the difficulty gap), horizon_plateau tracks R_n / log^2 n
 over the horizon on a fully coverable instance, critical_point sweeps the
 second difficulty through the point where it stops being coverable, and
 estimator_comparison pits the weighted estimator against the unweighted
-baseline. Full scale (300 replications, horizons to 1e6) takes hours;
---scale, a fraction in (0, 1], trims replications and the largest horizons
-for a desk-scale pass.
+baseline. Full scale (300 replications, horizons to 1e6) is about 1.02e9
+K = 2 steps (5.1e7 + 4.33e8 + 4.5e8 + 8.64e7 in the order above); its
+wall time has not been measured. --scale, a fraction in (0, 1], trims
+replications and the largest horizons for a desk-scale pass.
 """
 
 import argparse
@@ -23,7 +24,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
 EXPERIMENTS = ("gap_sweep", "horizon_plateau", "critical_point", "estimator_comparison")
 
 
-def load_config(name: str, scale: float, out_dir: str) -> ExperimentConfig:
+def load_config(name: str, scale: float) -> ExperimentConfig:
     with open(os.path.join(CONFIG_DIR, f"{name}.json")) as handle:
         doc = json.load(handle)
     if scale < 1.0:
@@ -31,7 +32,6 @@ def load_config(name: str, scale: float, out_dir: str) -> ExperimentConfig:
         if doc["sweep"] == "horizon":
             cap = 10**5
             doc["grid"] = [g for g in doc["grid"] if g <= cap]
-    doc["output_path"] = os.path.join(out_dir, f"{name}.csv")
     return ExperimentConfig.from_json(json.dumps(doc))
 
 
@@ -62,15 +62,16 @@ def main() -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     names = args.only or EXPERIMENTS
     for name in names:
-        config = load_config(name, args.scale, args.out_dir)
+        config = load_config(name, args.scale)
+        out = os.path.join(args.out_dir, f"{name}.csv")
         started = time.time()
         result = run_experiment(config)
-        emit_csv(result, config.output_path)
+        emit_csv(result, out)
         span = max(r.mean_regret for r in result.rows) - min(r.mean_regret for r in result.rows)
         print(
             f"{config.experiment_id}: {len(config.grid)} points, "
             f"{config.replications} reps, regret span {span:.1f}, "
-            f"{time.time() - started:.0f}s -> {config.output_path}"
+            f"{time.time() - started:.0f}s -> {out}"
         )
         if name == "horizon_plateau":
             for row in result.rows:

@@ -85,12 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one episode and write its trace CSV")
-    src = run_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--nus", type=_parse_float_list, help="difficulties, e.g. 0.4,0.6 (null = unbounded)")
-    src.add_argument("--config", help="instance JSON file {nus, horizon, seed}")
-    run_p.add_argument("--horizon", type=_integer_text, help="number of steps")
     run_p.add_argument(
-        "--seed", type=_integer_text, help="environment seed (default 0 or the config's)")
+        "--nus", type=_parse_float_list, required=True,
+        help="difficulties, e.g. 0.4,0.6 (null = unbounded)")
+    run_p.add_argument("--horizon", type=_integer_text, required=True, help="number of steps")
+    run_p.add_argument("--seed", type=_integer_text, default=0, help="environment seed (default 0)")
     run_p.add_argument("--mode", choices=("weighted", "unweighted"), default="weighted")
     run_p.add_argument(
         "--lower-bounds",
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = sub.add_parser("experiment", help="run a sweep described by a JSON config")
     exp_p.add_argument("--config", required=True, help="experiment JSON config")
-    exp_p.add_argument("--out", help="aggregate CSV path (overrides config output_path)")
+    exp_p.add_argument("--out", help="aggregate CSV path; omit to print the summary only")
     exp_p.add_argument("--reps", type=_integer_text, help="override replication count")
 
     mm_p = sub.add_parser("minimax", help="stress test on the hardest instance family")
@@ -121,11 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.config is not None:
-        with open(args.config) as handle:
-            instance = ProblemInstance.from_json(handle.read(), args.horizon, args.seed)
-    else:
-        instance = ProblemInstance(args.nus, args.horizon, args.seed if args.seed is not None else 0)
+    instance = ProblemInstance(args.nus, args.horizon, args.seed)
     # Without --out only the final regret is printed, so nothing per-step is kept.
     if not args.out:
         record = "final"
@@ -154,14 +149,13 @@ def _cmd_experiment(args) -> int:
     if args.reps is not None:
         config = dataclasses.replace(config, replications=args.reps)
     result = run_experiment(config)
-    out = args.out or config.output_path
-    if out:
-        emit_csv(result, out)
+    if args.out:
+        emit_csv(result, args.out)
     overall = sum(r.mean_regret for r in result.rows) / len(result.rows)
     print(
         f"experiment {config.experiment_id}: {len(config.grid)} points x "
         f"{len(config.arms)} arms x {config.replications} reps, "
-        f"mean final regret {overall:.6g}" + (f" wrote={out}" if out else "")
+        f"mean final regret {overall:.6g}" + (f" wrote={args.out}" if args.out else "")
     )
     cells = len(config.grid) * len(config.arms) * config.replications
     _print_health(cells, map(sum, zip(*result.health.values())))
@@ -220,8 +214,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run" and args.nus is not None and args.horizon is None:
-            parser.error("--horizon is required with --nus")
         if args.command == "run" and args.snapshot_intervals and not args.out:
             parser.error("--out is required with --snapshot-intervals")
     except SystemExit as exc:

@@ -29,12 +29,10 @@ from .initialization import run_modified
 from .model import (
     ProblemInstance,
     _bounds,
-    _check_keys,
     _count,
     _floats,
     _integer,
     _seed,
-    _unique_keys,
 )
 
 WORKERS_ENV = "ALLOC_BANDIT_THREADS"
@@ -83,7 +81,6 @@ class ExperimentConfig:
     replications: int = 300
     arms: tuple = (ArmSpec(name="weighted"),)
     base_seed: int = 0
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         # ProblemInstance owns the difficulty rules.
@@ -94,8 +91,6 @@ class ExperimentConfig:
             raise ValueError("sweep grid must be non-empty")
         if not isinstance(self.experiment_id, str):
             raise ValueError(f"experiment_id must be a string, got {self.experiment_id!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         object.__setattr__(self, "replications", _count("replications", self.replications))
         object.__setattr__(self, "base_seed", _seed("base_seed", self.base_seed))
         if not self.arms:
@@ -172,12 +167,30 @@ def _hard_job_eps(n: int, num_jobs: int) -> float:
     return math.sqrt(num_jobs / (8.0 * n))
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object's pairs as a
+    dict, rejecting a key that appears twice (``json`` keeps the last)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _check_fields(doc, cls, where: str) -> None:
-    """``_check_keys`` for a dataclass: keys are its field names, and a
-    field without a default is required."""
+    """Reject a JSON document that is not an object, has a key that is not
+    a field name of the dataclass ``cls`` or lacks a field that has no
+    default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
     names = [f.name for f in fields(cls)]
-    required = [f.name for f in fields(cls) if f.default is MISSING]
-    _check_keys(doc, where, names, required)
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(names)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in doc:
+            raise ValueError(f"{where} is missing required key {f.name!r}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +288,12 @@ def _map_cells(cell, tasks: list, workers: Optional[int]) -> list:
     try:
         for i in range(workers):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
             if pid == 0:
                 _work(cell, tasks[i::workers], write_end)
             os.close(write_end)

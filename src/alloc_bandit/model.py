@@ -12,7 +12,6 @@ other difficulty and lower bound to a positive value with a finite reciprocal
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -69,20 +68,6 @@ class ProblemInstance:
     def recips(self) -> tuple:
         """Reciprocal difficulties 1/nu_k, with 0 encoding unbounded."""
         return tuple(0.0 if nu is None else 1.0 / nu for nu in self.nus)
-
-    @classmethod
-    def from_json(cls, text: str, horizon=None, seed=None) -> "ProblemInstance":
-        """Parse ``{"nus": [...], "horizon": n, "seed": s}``; ``seed`` may be
-        left out (0). Unknown, repeated and missing keys are rejected.
-        ``horizon`` and ``seed``, when not None, replace the document's
-        values."""
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-        _check_keys(doc, "instance", ("nus", "horizon", "seed"), ("nus", "horizon"))
-        return cls(
-            nus=doc["nus"],
-            horizon=doc["horizon"] if horizon is None else horizon,
-            base_seed=doc.get("seed", 0) if seed is None else seed,
-        )
 
 
 def _integer(name: str, value) -> int:
@@ -149,30 +134,6 @@ def _bounds(name: str, values) -> tuple:
     for i, bound in enumerate(bounds):
         _positive(f"{name}[{i}]", bound)
     return bounds
-
-
-def _unique_keys(pairs) -> dict:
-    """``object_pairs_hook`` for ``json.loads``: the object's pairs as a
-    dict, rejecting a key that appears twice (``json`` keeps the last)."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"duplicate JSON key {key!r}")
-        doc[key] = value
-    return doc
-
-
-def _check_keys(doc, where: str, known, required) -> None:
-    """Reject a JSON document that is not an object, has a key outside
-    ``known`` or lacks one of ``required``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(known)}")
-    for key in required:
-        if key not in doc:
-            raise ValueError(f"{where} is missing required key {key!r}")
 
 
 def _allocate_raw(order: Sequence[tuple], budget: float) -> list:

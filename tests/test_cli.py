@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -49,37 +51,6 @@ class TestRunCommand:
         header = out.read_text().splitlines()[0]
         assert header.endswith("L_1,L_2,U_1,U_2")
 
-    def test_instance_config_file(self, tmp_path):
-        config = tmp_path / "instance.json"
-        config.write_text(json.dumps({"nus": [0.5, None], "horizon": 50, "seed": 2}))
-        result = invoke("run", "--config", str(config))
-        assert result.returncode == 0, result.stderr
-        assert "n=50 K=2" in result.stdout
-
-    def test_instance_config_rejects_unknown_keys_and_fractions(self, tmp_path):
-        config = tmp_path / "instance.json"
-        doc = {"nus": [0.4, 0.6], "horizon": 99.7, "seed": 2.9, "horizn": 5}
-        config.write_text(json.dumps(doc))
-        result = invoke("run", "--config", str(config))
-        assert result.returncode == 1
-        assert "'horizn'" in result.stderr
-        del doc["horizn"]
-        config.write_text(json.dumps(doc))
-        result = invoke("run", "--config", str(config))
-        assert result.returncode == 1
-        assert "horizon must be an integer, got 99.7" in result.stderr
-
-    def test_flags_override_instance_config(self, tmp_path):
-        config = tmp_path / "instance.json"
-        config.write_text(json.dumps({"nus": [0.4, 0.6], "horizon": 50, "seed": 2}))
-        from_config = invoke("run", "--config", str(config), "--horizon", "30", "--seed", "7",
-                             "--lower-bounds", "0.2,0.3", "--out", str(tmp_path / "a.csv"))
-        from_flags = invoke("run", "--nus", "0.4,0.6", "--horizon", "30", "--seed", "7",
-                            "--lower-bounds", "0.2,0.3", "--out", str(tmp_path / "b.csv"))
-        assert from_config.returncode == from_flags.returncode == 0, from_config.stderr
-        assert "n=30 K=2" in from_config.stdout
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
     @pytest.mark.parametrize("bound", ["inf", "null"])
     def test_unbounded_lower_bound_is_an_error(self, tmp_path, bound):
         # A lower bound is a plain number: inf fails the bound rule, and
@@ -101,17 +72,22 @@ class TestRunCommand:
             )
         assert not out.exists()
 
-    def test_nus_and_config_mutually_exclusive(self, tmp_path):
-        config = tmp_path / "instance.json"
+    def test_config_flag_is_unrecognized(self, tmp_path):
+        # The instance comes from --nus, --horizon and --seed only.
+        config = tmp_path / "x.json"
         config.write_text(json.dumps({"nus": [0.5], "horizon": 5, "seed": 0}))
-        result = invoke("run", "--nus", "0.5", "--config", str(config))
-        assert result.returncode != 0
-        assert result.stderr
+        result = invoke("run", "--nus", "0.5", "--horizon", "5", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stderr.endswith(f"error: unrecognized arguments: --config {config}\n")
+        assert result.stdout == ""
+        result = invoke("run", "--config", str(config))
+        assert result.returncode == 2
+        assert "the following arguments are required: --nus, --horizon" in result.stderr
 
     def test_missing_horizon_fails(self):
         result = invoke("run", "--nus", "0.4,0.6")
         assert result.returncode == 2
-        assert result.stderr.endswith("error: --horizon is required with --nus\n")
+        assert result.stderr.endswith("error: the following arguments are required: --horizon\n")
         assert result.stdout == ""
 
     def test_snapshot_intervals_without_out_fails(self, tmp_path, monkeypatch, capsys):
@@ -280,6 +256,32 @@ class TestExperimentCommand:
         result = invoke("experiment", "--config", str(config))
         assert result.returncode == 1
         assert "missing required key 'sweep'" in result.stderr
+
+    def test_output_path_key_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # The CSV goes only where --out says; a config cannot name a path.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "experiment_id": "mini", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [50],
+            "replications": 2, "output_path": "agg.csv",
+        }))
+        assert cli.main(["experiment", "--config", "exp.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown config key 'output_path'; ")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+    def test_without_out_nothing_is_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "experiment_id": "mini", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [50],
+            "replications": 2,
+        }))
+        assert cli.main(["experiment", "--config", "exp.json"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("experiment mini: 1 points x 1 arms x 2 reps, ")
+        assert "wrote=" not in out
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     def test_hard_job_sweep_is_the_minimax_run(self, tmp_path):
         # minimax_stress is this sweep: its means come back bit for bit from the CSV.
@@ -452,3 +454,26 @@ def test_experiment_output_independent_of_thread_count(tmp_path):
         assert result.returncode == 0, result.stderr
         outputs[threads] = out.read_bytes()
     assert outputs["1"] == outputs["4"]
+
+
+def readme_commands() -> list:
+    """The argv of every ``alloc-bandit ...`` line in README's ``sh``
+    blocks, with backslash continuations joined and comments dropped."""
+    with open(os.path.join(PKG_ROOT, "README.md")) as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("alloc-bandit ")]
+
+
+def test_readme_has_an_example_of_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == {"run", "experiment", "minimax", "init-stats"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_parse(argv, capsys):
+    # A flag that leaves the CLI cannot stay in the docs.
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"alloc-bandit {' '.join(argv)}: {capsys.readouterr().err}")

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -54,7 +55,6 @@ class TestConfig:
                 {"name": "unweighted", "mode": "unweighted"},
                 {"name": "known", "mode": "weighted", "lower_bounds": [0.2, 0.3]},
             ],
-            "output_path": "out.csv",
         }
         config = ExperimentConfig.from_json(json.dumps(doc))
         assert config.experiment_id == "br"
@@ -361,6 +361,23 @@ class TestMapCells:
         with pytest.raises(error, match=message):
             harness._map_cells(cell, [0, 1], 2)
         assert time.monotonic() - started < 30
+
+    def test_a_failed_fork_closes_its_pipe(self, monkeypatch):
+        # Worker 0 starts and would sleep for a minute; the second fork fails.
+        forks = []
+
+        def fork(real=os.fork):
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(harness.os, "fork", fork)
+        before = os.listdir("/proc/self/fd")
+        with pytest.raises(OSError) as info:
+            harness._map_cells(lambda task: time.sleep(60), [0, 1], 2)
+        assert info.value.errno == errno.EAGAIN
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(before)
 
     def test_workers_never_flush_the_parents_stdio(self):
         # A pipe makes stdout block-buffered, so "x" is still in the

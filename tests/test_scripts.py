@@ -29,10 +29,9 @@ def test_every_config_has_an_experiment():
 
 @pytest.mark.parametrize("scale", [1.0, 0.1])
 @pytest.mark.parametrize("name", suite.EXPERIMENTS)
-def test_suite_configs_load(name, scale, tmp_path):
-    config = suite.load_config(name, scale, str(tmp_path))
+def test_suite_configs_load(name, scale):
+    config = suite.load_config(name, scale)
     assert isinstance(config, ExperimentConfig)
-    assert config.output_path == os.path.join(str(tmp_path), f"{name}.csv")
     assert config.replications == (300 if scale == 1.0 else 30)
     if config.sweep == "horizon":
         horizons = [config.instance_at(p).horizon for p in range(len(config.grid))]
