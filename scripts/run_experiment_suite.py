@@ -56,7 +56,7 @@ def main() -> int:
         default=1.0,
         help="fraction of the reference replication count (e.g. 0.1 for a quick pass)",
     )
-    parser.add_argument("--only", choices=EXPERIMENTS, nargs="*", help="subset to run")
+    parser.add_argument("--only", choices=EXPERIMENTS, nargs="+", help="subset to run")
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -72,6 +72,13 @@ def _integer_text(raw: str) -> int:
     return int(raw)
 
 
+def _out_path(raw: str) -> str:
+    """An ``--out`` path; an empty one would write nothing, silently."""
+    if not raw:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return raw
+
+
 def _parse_numbers(raw: str) -> tuple:
     """Plain numbers (lower bounds): ``inf`` is a number, ``null`` an error."""
     return _parse_float_list(raw, float, "numbers")
@@ -97,11 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="known initial lower bounds; omit to self-initialize",
     )
     run_p.add_argument("--snapshot-intervals", action="store_true", help="record per-step intervals")
-    run_p.add_argument("--out", help="trace CSV path")
+    run_p.add_argument("--out", type=_out_path, help="trace CSV path")
 
     exp_p = sub.add_parser("experiment", help="run a sweep described by a JSON config")
     exp_p.add_argument("--config", required=True, help="experiment JSON config")
-    exp_p.add_argument("--out", help="aggregate CSV path; omit to print the summary only")
+    exp_p.add_argument("--out", type=_out_path, help="aggregate CSV path; omit to print the summary only")
     exp_p.add_argument("--reps", type=_integer_text, help="override replication count")
 
     mm_p = sub.add_parser("minimax", help="stress test on the hardest instance family")
@@ -115,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nu", type=_difficulty_text, required=True, help="difficulty (or 'inf' for unbounded)")
     init_p.add_argument("--reps", type=_integer_text, default=100_000)
     init_p.add_argument("--seed", type=_integer_text, default=0)
-    init_p.add_argument("--out", help="optional per-replication CSV path")
+    init_p.add_argument("--out", type=_out_path, help="optional per-replication CSV path")
     return parser
 
 
@@ -175,11 +182,11 @@ def _print_health(cells: int, counts) -> None:
 def _cmd_minimax(args) -> int:
     result = minimax_stress(args.horizon, args.k, args.reps, args.seed)
     print(
-        f"minimax: n={result.n} K={result.num_jobs} reps={result.reps} "
-        f"sup_regret={result.sup_regret:.6g} sqrt_nK={result.sqrt_nk:.6g} "
+        f"minimax: n={args.horizon} K={args.k} reps={args.reps} "
+        f"sup_regret={result.sup_regret:.6g} sqrt_nK={math.sqrt(args.horizon * args.k):.6g} "
         f"ratio={result.ratio:.6g}"
     )
-    _print_health(result.num_jobs * result.reps, result.health)
+    _print_health(args.k * args.reps, result.health)
     return 0
 
 

@@ -6,9 +6,11 @@ per grid point and arm, and reports mean final cumulative pseudo-regret
 with its standard error. Replication streams derive from (base seed,
 point, arm, replication) through numpy SeedSequence spawn keys, so results
 are identical regardless of worker count and grids can be extended without
-perturbing existing points. A sweep on more than one worker forks its
-workers directly (POSIX ``os.fork``): each runs every W-th cell and sends
-its results back over a pipe, so nothing loads ``multiprocessing``.
+perturbing existing points. ``minimax_stress`` runs the hard-job sweep and
+keeps only its member means, their maximum over sqrt(nK) and health. A
+sweep on more than one worker forks its workers directly (POSIX
+``os.fork``): each runs every W-th cell and sends its results back over a
+pipe, so nothing loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -387,22 +389,12 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
 @dataclass(frozen=True)
 class MinimaxStressResult:
     per_instance_mean: tuple
-    n: int
-    num_jobs: int
-    reps: int
+    ratio: float
     health: tuple
 
     @property
     def sup_regret(self) -> float:
         return max(self.per_instance_mean)
-
-    @property
-    def sqrt_nk(self) -> float:
-        return math.sqrt(self.n * self.num_jobs)
-
-    @property
-    def ratio(self) -> float:
-        return self.sup_regret / self.sqrt_nk
 
 
 def minimax_stress(
@@ -413,9 +405,9 @@ def minimax_stress(
     workers: Optional[int] = None,
 ) -> MinimaxStressResult:
     """Empirical worst case over the minimax family, run as a ``"hard_job"``
-    sweep over K jobs at difficulty 2: the self-initializing policy's mean
-    regret, maximized over members, and its ratio to sqrt(nK). ``health``
-    is the ``ExperimentResult`` counts summed over members and replications."""
+    sweep over K jobs at difficulty 2: each member's mean regret, their
+    maximum over sqrt(nK) as ``ratio`` (floor 1/(16 sqrt 2)) and ``health``,
+    the ``ExperimentResult`` counts summed over members and replications."""
     reps = _count("reps", reps)
     n, num_jobs = _integer("n", n), _integer("num_jobs", num_jobs)
     _hard_job_eps(n, num_jobs)  # first: the config reports K < 1 as empty nus, a bad seed before it
@@ -426,7 +418,7 @@ def minimax_stress(
     result = run_experiment(config, workers)
     means = tuple(row.mean_regret for row in result.rows)
     health = tuple(map(sum, zip(*result.health.values())))
-    return MinimaxStressResult(means, n, num_jobs, reps, health)
+    return MinimaxStressResult(means, max(means) / math.sqrt(n * num_jobs), health)
 
 
 # Not called here; kept so that bench/tracing.py can wrap this binding by name.

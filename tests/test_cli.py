@@ -314,6 +314,14 @@ class TestMinimaxCommand:
         assert "sup_regret=" in result.stdout
         assert "ratio=" in result.stdout
 
+    def test_output_bytes_are_pinned(self):
+        result = invoke("minimax", "--horizon", "60", "--k", "3", "--reps", "4", "--seed", "11")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "minimax: n=60 K=3 reps=4 sup_regret=2.3203 sqrt_nK=13.4164 ratio=0.172945\n")
+        assert result.stderr == (
+            "health: 12 cells, coverage_failures=0 weight_capped=0 collapsed=0\n")
+
     def test_deterministic(self):
         args = ("minimax", "--horizon", "150", "--k", "2", "--reps", "2", "--seed", "9")
         assert invoke(*args).stdout == invoke(*args).stdout
@@ -424,6 +432,26 @@ class TestUsage:
         assert exc.value.code == code
         assert capsys.readouterr().out.startswith("minimax:") == (code == 0)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--nus", "0.4,0.6", "--horizon", "10"],
+        ["run", "--nus", "0.4,0.6", "--horizon", "10", "--snapshot-intervals"],
+        ["experiment", "--config", "exp.json"],
+        ["init-stats", "--nu", "0.5", "--reps", "5"],
+    ], ids=["run", "run-snapshot-intervals", "experiment", "init-stats"])
+    def test_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # The commands test `if args.out`, so an empty path would run and write nothing.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
+        (tmp_path / "exp.json").write_text(json.dumps({
+            "experiment_id": "mini", "nus": [0.4, 0.6], "sweep": "horizon", "grid": [50],
+            "replications": 2,
+        }))
+        assert cli.main([*argv, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("error: argument --out: expected a file path, got ''\n")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_no_subcommand(self):
         result = invoke()
         assert result.returncode != 0
@@ -456,14 +484,14 @@ def test_experiment_output_independent_of_thread_count(tmp_path):
     assert outputs["1"] == outputs["4"]
 
 
-def readme_commands() -> list:
-    """The argv of every ``alloc-bandit ...`` line in README's ``sh``
-    blocks, with backslash continuations joined and comments dropped."""
+def readme_commands(program: str = "alloc-bandit") -> list:
+    """The argv of every ``<program> ...`` line in README's ``sh`` blocks,
+    with backslash continuations joined and comments dropped."""
     with open(os.path.join(PKG_ROOT, "README.md")) as handle:
         blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(), re.S | re.M)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines
-            if line.startswith("alloc-bandit ")]
+            if line.startswith(program + " ")]
 
 
 def test_readme_has_an_example_of_every_subcommand():
@@ -477,3 +505,11 @@ def test_readme_examples_parse(argv, capsys):
         cli.build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"alloc-bandit {' '.join(argv)}: {capsys.readouterr().err}")
+
+
+def test_readme_scripts_exist():
+    # A script that leaves the repo cannot stay in the docs either.
+    scripts = [argv[0] for argv in readme_commands("python") if argv[0].startswith("scripts/")]
+    assert scripts
+    for script in scripts:
+        assert os.path.isfile(os.path.join(PKG_ROOT, script)), script

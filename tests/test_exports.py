@@ -37,7 +37,9 @@ def used_names(tree: ast.AST) -> set:
 
 
 def test_callers_exist():
-    assert len(CALLERS) >= 4
+    # The exact set, so that a script leaving or arriving is seen here.
+    assert [os.path.relpath(path, ROOT) for path in CALLERS] == [
+        "src/alloc_bandit/cli.py", "src/alloc_bandit/harness.py", "scripts/run_experiment_suite.py"]
     assert all(os.path.exists(path) for path in CALLERS)
 
 

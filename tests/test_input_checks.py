@@ -166,10 +166,14 @@ def test_an_integer_too_large_for_a_float_is_an_error(tmp_path):
     assert result.stderr == f"error: grid must be a list of numbers, got [50, {huge}]\n"
 
 
-def test_minimax_rejects_reps_below_one():
-    result = invoke("minimax", "--horizon", "100", "--k", "2", "--reps", "0")
+@pytest.mark.parametrize("k,reps,message", [
+    ("2", "0", "reps must be >= 1, got 0"),
+    ("1", "2", "need 8n >= K >= 2, got n=100, K=1"),
+], ids=["reps0", "k1"])
+def test_minimax_rejects_reps_below_one(k, reps, message):
+    result = invoke("minimax", "--horizon", "100", "--k", k, "--reps", reps)
     assert result.returncode == 1
-    assert result.stderr == "error: reps must be >= 1, got 0\n"
+    assert result.stderr == f"error: {message}\n"
     assert result.stdout == ""
 
 
@@ -186,9 +190,8 @@ def test_minimax_counts_must_be_integers(args, message):
 
 
 def test_minimax_whole_float_counts_are_stored_as_ints():
-    result = minimax_stress(10.0, 2.0, 1.0, workers=1)
-    assert (result.n, result.num_jobs, result.reps) == (10, 2, 1)
-    assert all(type(v) is int for v in (result.n, result.num_jobs, result.reps))
+    # The result holds no counts; whole floats must run exactly the integer family.
+    assert minimax_stress(10.0, 2.0, 1.0, workers=1) == minimax_stress(10, 2, 1, workers=1)
 
 
 @pytest.mark.parametrize("args,message", [

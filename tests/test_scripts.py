@@ -40,48 +40,6 @@ def test_suite_configs_load(name, scale):
             assert max(horizons) <= 10**5
 
 
-@pytest.mark.parametrize(
-    "args", [["--k", "1", "--reps", "2"], ["--k", "2", "--reps", "0"]], ids=["k1", "reps0"]
-)
-def test_minimax_stress_rejects_bad_arguments(args, monkeypatch, capsys):
-    stress = load_script("run_minimax_stress")
-    monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
-    monkeypatch.setattr(sys, "argv", ["run_minimax_stress.py", "--horizons", "50", *args])
-    assert stress.main() == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("raw", ["1_00", "+2", " 2", "2\n", "\u0662"])
-@pytest.mark.parametrize("flag", ["--horizons", "--k", "--reps", "--seed"])
-def test_minimax_stress_integer_flags_take_ascii_digits_only(flag, raw, monkeypatch, capsys):
-    # int() would take each of these; alloc-bandit minimax refuses them, and so does the script.
-    stress = load_script("run_minimax_stress")
-    monkeypatch.setattr(sys, "argv", ["run_minimax_stress.py", flag, raw])
-    with pytest.raises(SystemExit) as exc:
-        stress.main()
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.err.endswith(
-        f"error: argument {flag}: expected an integer in ASCII digits, got {raw!r}\n")
-    assert captured.out == ""
-
-
-def test_minimax_stress_main(monkeypatch, capsys):
-    stress = load_script("run_minimax_stress")
-    monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
-    monkeypatch.setattr(
-        sys, "argv", ["run_minimax_stress.py", "--horizons", "50", "--k", "2", "--reps", "2"]
-    )
-    assert stress.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "universal floor on sup-regret / sqrt(nK): 0.0442"
-    assert len(lines) == 2
-    assert lines[1].startswith("n=      50 K=2: sup_regret=")
-    assert "ratio=" in lines[1] and "per-instance=" in lines[1]
-
-
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "2"])
 def test_experiment_suite_rejects_a_scale_outside_the_unit_interval(scale, monkeypatch, capsys, tmp_path):
     out_dir = tmp_path / "out"
@@ -93,6 +51,20 @@ def test_experiment_suite_rejects_a_scale_outside_the_unit_interval(scale, monke
         suite.main()
     assert exc.value.code == 2
     assert f"argument --scale: expected a fraction in (0, 1], got '{scale}'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_experiment_suite_only_needs_a_name(monkeypatch, capsys, tmp_path):
+    # With nargs="*" a bare --only parses to [], which selects every experiment.
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_experiment_suite.py", "--only", "--out-dir", str(out_dir)])
+    monkeypatch.setattr(suite, "run_experiment", lambda config: pytest.fail("a sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        suite.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --only: expected at least one argument" in captured.err
+    assert captured.out == ""
     assert not out_dir.exists()
 
 
