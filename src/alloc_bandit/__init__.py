@@ -13,7 +13,7 @@ from .harness import (
     minimax_stress,
     run_experiment,
 )
-from .initialization import halving_init, run_modified, sample_eta
+from .initialization import halving_init, run_modified
 from .model import ProblemInstance, split_rng
 
 __version__ = "0.1.0"
@@ -33,6 +33,5 @@ __all__ = [
     "run_episode",
     "run_experiment",
     "run_modified",
-    "sample_eta",
     "split_rng",
 ]

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
 import re
 import sys
 
@@ -28,7 +30,7 @@ from .harness import (
     minimax_stress,
     run_experiment,
 )
-from .initialization import halving_init, run_modified, sample_eta
+from .initialization import halving_init, run_modified
 from .model import ProblemInstance, _count, _seed, split_rng
 
 
@@ -79,6 +81,16 @@ def _out_path(raw: str) -> str:
     return raw
 
 
+def _check_out(path: str) -> None:
+    """Raise before the run the OSError that writing ``path`` would raise after it."""
+    try:  # the trailing separator makes a non-directory fail (ENOTDIR), as the write does
+        os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _parse_numbers(raw: str) -> tuple:
     """Plain numbers (lower bounds): ``inf`` is a number, ``null`` an error."""
     return _parse_float_list(raw, float, "numbers")
@@ -92,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one episode and write its trace CSV")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument(
         "--nus", type=_parse_float_list, required=True,
         help="difficulties, e.g. 0.4,0.6 (null = unbounded)")
@@ -107,17 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", type=_out_path, help="trace CSV path")
 
     exp_p = sub.add_parser("experiment", help="run a sweep described by a JSON config")
+    exp_p.set_defaults(handler=_cmd_experiment)
     exp_p.add_argument("--config", required=True, help="experiment JSON config")
     exp_p.add_argument("--out", type=_out_path, help="aggregate CSV path; omit to print the summary only")
     exp_p.add_argument("--reps", type=_integer_text, help="override replication count")
 
     mm_p = sub.add_parser("minimax", help="stress test on the hardest instance family")
+    mm_p.set_defaults(handler=_cmd_minimax)
     mm_p.add_argument("--horizon", type=_integer_text, required=True)
     mm_p.add_argument("--k", type=_integer_text, required=True, help="number of jobs")
     mm_p.add_argument("--reps", type=_integer_text, default=100)
     mm_p.add_argument("--seed", type=_integer_text, default=0)
 
     init_p = sub.add_parser("init-stats", help="halving-probe Monte-Carlo statistics")
+    init_p.set_defaults(handler=_cmd_init_stats)
     init_p.add_argument(
         "--nu", type=_difficulty_text, required=True, help="difficulty (or 'inf' for unbounded)")
     init_p.add_argument("--reps", type=_integer_text, default=100_000)
@@ -129,12 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     instance = ProblemInstance(args.nus, args.horizon, args.seed)
     # Without --out only the final regret is printed, so nothing per-step is kept.
-    if not args.out:
-        record = "final"
-    elif args.snapshot_intervals:
-        record = "intervals"
-    else:
-        record = "steps"
+    record = "final" if not args.out else "intervals" if args.snapshot_intervals else "steps"
     options = PolicyOptions(mode=args.mode, record=record)
     if args.lower_bounds is None:
         trace = run_modified(instance, options)
@@ -193,6 +204,7 @@ def _cmd_minimax(args) -> int:
 def _cmd_init_stats(args) -> int:
     _count("--reps", args.reps)
     nu = _difficulty(args.nu)
+    top = 1.0 if nu is None else min(1.0, nu)  # eta = min(1, nu) / nu_lower0
     rng = split_rng(_seed("base_seed", args.seed))
     etas = np.empty(args.reps)
     steps = np.empty(args.reps, dtype=np.int64)
@@ -200,17 +212,15 @@ def _cmd_init_stats(args) -> int:
     for rep in range(args.reps):
         steps_used, _ = halving_init(nu, rng)
         nu_lower0 = 2.0**-steps_used
-        eta = sample_eta(nu, nu_lower0)
-        etas[rep] = eta
+        etas[rep] = eta = top / nu_lower0
         steps[rep] = steps_used
         if args.out:
             rows.append(f"{rep},{steps_used},{nu_lower0!r},{eta!r}")
-    mean_eta = float(etas.mean())
     se_eta = float(etas.std(ddof=1) / math.sqrt(args.reps)) if args.reps > 1 else 0.0
     if args.out:
         atomic_write_text(args.out, "\n".join(["rep,steps,nu_lower0,eta"] + rows) + "\n")
     print(
-        f"init-stats: nu={args.nu} reps={args.reps} mean_eta={mean_eta:.6g} "
+        f"init-stats: nu={args.nu} reps={args.reps} mean_eta={float(etas.mean()):.6g} "
         f"se_eta={se_eta:.6g} mean_steps={float(steps.mean()):.6g}"
         + (f" wrote={args.out}" if args.out else "")
     )
@@ -225,14 +235,10 @@ def main(argv=None) -> int:
             parser.error("--out is required with --snapshot-intervals")
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "run": _cmd_run,
-        "experiment": _cmd_experiment,
-        "minimax": _cmd_minimax,
-        "init-stats": _cmd_init_stats,
-    }
     try:
-        return handlers[args.command](args)
+        if getattr(args, "out", None):
+            _check_out(args.out)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,12 +41,6 @@ def halving_init(nu: Optional[float], rng: np.random.Generator) -> tuple:
     return MAX_HALVING_STEPS, True
 
 
-def sample_eta(nu: Optional[float], nu_lower0: float) -> float:
-    """Looseness of an initial lower bound: min(1, nu) / nu_lower0."""
-    top = 1.0 if nu is None else min(1.0, nu)
-    return top / _positive("lower bound", nu_lower0)
-
-
 def run_modified(instance: ProblemInstance, options: PolicyOptions = PolicyOptions()) -> RunTrace:
     """Self-initializing episode: offset halving probes plus the optimistic
     policy on whatever budget the probes leave.

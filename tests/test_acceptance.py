@@ -24,7 +24,7 @@ from alloc_bandit.harness import (
     minimax_stress,
     run_experiment,
 )
-from alloc_bandit.initialization import halving_init, run_modified, sample_eta
+from alloc_bandit.initialization import halving_init, run_modified
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from reference import bootstrap_ci, brute_force_optimal, kernel_slots, replay
 
@@ -320,9 +320,8 @@ def test_criterion_8_expected_eta():
         etas = np.empty(reps)
         for rep in range(reps):
             steps_used, _ = halving_init(nu, rng)
-            nu_lower0 = 2.0**-steps_used
-            etas[rep] = sample_eta(nu, nu_lower0)
-            assert nu_lower0 < nu
+            assert 2.0**-steps_used < nu
+            etas[rep] = min(1.0, nu) * 2.0**steps_used
         mean = float(etas.mean())
         se = float(etas.std(ddof=1) / math.sqrt(reps))
         ok &= mean <= 4.0 + 3 * se

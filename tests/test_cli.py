@@ -192,6 +192,35 @@ class TestOutputFiles:
         assert result.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
         assert not (tmp_path / "missing_dir").exists()
 
+    @pytest.mark.parametrize("argv,runner", [
+        (["run", "--nus", "0.4,0.6", "--horizon", "20"], "run_modified"),
+        (["experiment", "--config", "{config}"], "run_experiment"),
+        (["init-stats", "--nu", "0.5", "--reps", "5"], "halving_init"),
+    ], ids=["run", "experiment", "init-stats"])
+    @pytest.mark.parametrize("bad,message", [
+        ("missing_dir/x.csv", "[Errno 2] No such file or directory"),
+        ("a_dir", "[Errno 21] Is a directory"),
+        ("a_file/x.csv", "[Errno 20] Not a directory"),
+    ], ids=["missing-dir", "is-a-dir", "not-a-dir"])
+    def test_a_bad_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                            argv, runner, bad, message):
+        # The write comes after the whole run; its error must not wait for it.
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "experiment_id": "early", "nus": [0.4, 0.6], "sweep": "horizon",
+            "grid": [20], "replications": 2,
+        }))
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("")
+        monkeypatch.setattr(cli, runner, lambda *args: pytest.fail(f"{runner} ran"))
+        out = str(tmp_path / bad)
+        assert cli.main([a.format(config=config) for a in argv] + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}: {out!r}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file", "exp.json"]
+        assert list((tmp_path / "a_dir").iterdir()) == []
+
 
 class TestExperimentCommand:
     def test_config_driven_sweep(self, tmp_path):
@@ -345,20 +374,25 @@ class TestMinimaxCommand:
 
 
 class TestInitStatsCommand:
-    def test_summary_and_csv(self, tmp_path):
+    @pytest.mark.parametrize("nu,top", [("0.3", 0.3), ("1.5", 1.0), ("inf", 1.0)],
+                             ids=["nu0.3", "nu1.5", "inf"])
+    def test_summary_and_csv(self, tmp_path, nu, top):
         out = tmp_path / "init.csv"
         result = invoke(
-            "init-stats", "--nu", "0.3", "--reps", "500", "--seed", "4", "--out", str(out)
+            "init-stats", "--nu", nu, "--reps", "500", "--seed", "4", "--out", str(out)
         )
         assert result.returncode == 0, result.stderr
         assert "mean_eta=" in result.stdout
         lines = out.read_text().splitlines()
         assert lines[0] == "rep,steps,nu_lower0,eta"
         assert len(lines) == 501
-        for line in lines[1:]:
-            _, _, nu_lower0, eta = line.split(",")
-            # float() rejects numpy scalar reprs such as "np.float64(3.2)"
-            assert float(eta) == min(1.0, 0.3) / float(nu_lower0), line
+        for rep, line in enumerate(lines[1:]):
+            index, steps, nu_lower0, eta = line.split(",")
+            assert int(index) == rep
+            # float() rejects numpy scalar reprs such as "np.float64(3.2)";
+            # eta = min(1, nu) * 2^steps and nu_lower0 = 2^-steps, exactly.
+            assert float(nu_lower0) == 2.0 ** -int(steps), line
+            assert float(eta) == top * 2.0 ** int(steps), line
 
     def test_unbounded_difficulty(self):
         result = invoke("init-stats", "--nu", "inf", "--reps", "200", "--seed", "0")

@@ -10,7 +10,6 @@ from alloc_bandit.initialization import (
     MAX_HALVING_STEPS,
     halving_init,
     run_modified,
-    sample_eta,
 )
 from alloc_bandit.model import ProblemInstance, optimal_profile, split_rng
 from reference import kernel_slots, replay
@@ -68,7 +67,7 @@ class TestHalvingInit:
         rng = split_rng(77)
         for nu in (0.3, 1.5):
             etas = np.array(
-                [sample_eta(nu, 2.0 ** -halving_init(nu, rng)[0]) for _ in range(20_000)]
+                [min(1.0, nu) * 2.0 ** halving_init(nu, rng)[0] for _ in range(20_000)]
             )
             se = float(etas.std(ddof=1) / math.sqrt(len(etas)))
             assert float(etas.mean()) <= 4.0 + 3 * se
@@ -88,18 +87,6 @@ class TestHalvingInit:
         for nu in (0.0, float("inf"), 5e-324):
             with pytest.raises(ValueError, match="difficulty must be positive and finite"):
                 halving_init(nu, split_rng(0))
-
-
-class TestSampleEta:
-    def test_trivial_values(self):
-        assert sample_eta(0.5, 0.125) == 4.0
-        assert sample_eta(1.5, 0.5) == 2.0
-        assert sample_eta(None, 0.5) == 2.0
-
-    def test_requires_positive_bound(self):
-        for bound in (0.0, float("inf"), 5e-324):
-            with pytest.raises(ValueError, match="lower bound must be positive and finite"):
-                sample_eta(0.5, bound)
 
 
 def probe_consumption_by_step(trace):

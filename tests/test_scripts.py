@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import re
 import sys
 
 import pytest
@@ -32,12 +33,59 @@ def test_every_config_has_an_experiment():
 def test_suite_configs_load(name, scale):
     config = suite.load_config(name, scale)
     assert isinstance(config, ExperimentConfig)
+    if scale == 1.0:
+        with open(os.path.join(suite.CONFIG_DIR, f"{name}.json")) as handle:
+            assert config == ExperimentConfig.from_json(handle.read())
     assert config.replications == (300 if scale == 1.0 else 30)
     if config.sweep == "horizon":
         horizons = [config.instance_at(p).horizon for p in range(len(config.grid))]
         assert all(type(n) is int for n in horizons)
         if scale < 1.0:
             assert max(horizons) <= 10**5
+
+
+def write_config(directory, text: str) -> None:
+    (directory / "probe.json").write_text(
+        '{"experiment_id": "probe", "nus": [0.4, 0.6], "sweep": "horizon", '
+        '"grid": [100, 200000]' + text + "}")
+
+
+def test_scaled_config_keeps_the_default_replications(monkeypatch, tmp_path):
+    # Scaling a parsed config needs no replications key in the file.
+    monkeypatch.setattr(suite, "CONFIG_DIR", str(tmp_path))
+    write_config(tmp_path, "")
+    config = suite.load_config("probe", 0.1)
+    assert (config.replications, config.grid) == (30, (100.0,))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("text,message", [
+    (', "replications": 2.5', "replications must be an integer, got 2.5"),
+    (', "replications": 3, "replications": 4', "duplicate JSON key 'replications'"),
+], ids=["fractional-reps", "repeated-key"])
+def test_a_bad_config_is_rejected_at_every_scale(monkeypatch, tmp_path, text, message, scale):
+    monkeypatch.setattr(suite, "CONFIG_DIR", str(tmp_path))
+    write_config(tmp_path, text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        suite.load_config("probe", scale)
+
+
+def test_every_config_is_checked_before_the_first_sweep(monkeypatch, capsys, tmp_path):
+    # A bad config named last must not wait for the sweeps before it.
+    with open(os.path.join(suite.CONFIG_DIR, "gap_sweep.json")) as handle:
+        (tmp_path / "gap_sweep.json").write_text(handle.read())
+    (tmp_path / "estimator_comparison.json").write_text('{"experiment_id": 1}')
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(suite, "CONFIG_DIR", str(tmp_path))
+    monkeypatch.setattr(suite, "run_experiment", lambda config: pytest.fail("a sweep ran"))
+    monkeypatch.setattr(sys, "argv", [
+        "run_experiment_suite.py", "--only", "gap_sweep", "estimator_comparison",
+        "--out-dir", str(out_dir),
+    ])
+    with pytest.raises(ValueError, match="missing required key"):
+        suite.main()
+    assert capsys.readouterr().out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "2"])
