@@ -18,7 +18,7 @@ from .model import ProblemInstance, split_rng
 
 __version__ = "0.1.0"
 
-# Every name here has a caller in cli.py, harness.py or scripts/
+# Every name here has a caller in cli.py or harness.py
 # (tests/test_exports.py checks this).
 __all__ = [
     "ArmSpec",

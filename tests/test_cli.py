@@ -1,3 +1,4 @@
+import glob
 import hashlib
 import json
 import os
@@ -256,6 +257,21 @@ class TestExperimentCommand:
         assert result.returncode == 0, result.stderr
         assert out.read_text().splitlines()[1].endswith(",2")
 
+    def test_reps_sets_a_config_without_replications(self, tmp_path):
+        # --reps overrides the default too: the file needs no replications key.
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "experiment_id": "mini",
+            "nus": [0.4, 0.6],
+            "sweep": "horizon",
+            "grid": [50],
+            "base_seed": 5,
+        }))
+        out = tmp_path / "exp.csv"
+        result = invoke("experiment", "--config", str(config), "--out", str(out), "--reps", "2")
+        assert result.returncode == 0, result.stderr
+        assert out.read_text().splitlines()[1].endswith(",2")
+
     def test_unknown_config_key_is_an_error(self, tmp_path):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({
@@ -270,21 +286,23 @@ class TestExperimentCommand:
         assert "'replication'" in result.stderr
 
     def test_bad_config_value_is_an_error(self, tmp_path):
+        # --reps replaces the parsed count, so it cannot mask a bad file.
         config = tmp_path / "exp.json"
-        config.write_text(json.dumps({
-            "experiment_id": "mini",
-            "nus": [0.4, 0.6],
-            "sweep": "horizon",
-            "grid": [50],
-            "replications": 2.5,
-        }))
-        result = invoke("experiment", "--config", str(config))
-        assert result.returncode == 1
-        assert "replications must be an integer, got 2.5" in result.stderr
-        config.write_text(json.dumps({"experiment_id": "mini", "nus": [0.4, 0.6], "grid": [50]}))
-        result = invoke("experiment", "--config", str(config))
-        assert result.returncode == 1
-        assert "missing required key 'sweep'" in result.stderr
+        for extra in [(), ("--reps", "6")]:
+            config.write_text(json.dumps({
+                "experiment_id": "mini",
+                "nus": [0.4, 0.6],
+                "sweep": "horizon",
+                "grid": [50],
+                "replications": 2.5,
+            }))
+            result = invoke("experiment", "--config", str(config), *extra)
+            assert result.returncode == 1
+            assert "replications must be an integer, got 2.5" in result.stderr
+            config.write_text(json.dumps({"experiment_id": "mini", "nus": [0.4, 0.6], "grid": [50]}))
+            result = invoke("experiment", "--config", str(config), *extra)
+            assert result.returncode == 1
+            assert "missing required key 'sweep'" in result.stderr
 
     def test_output_path_key_is_unknown(self, tmp_path, monkeypatch, capsys):
         # The CSV goes only where --out says; a config cannot name a path.
@@ -329,6 +347,15 @@ class TestExperimentCommand:
         minimax = invoke("minimax", "--horizon", "60", "--k", "3", "--reps", "4", "--seed", "11")
         assert result.stderr == minimax.stderr
         assert result.stderr.startswith("health: 12 cells, ")
+
+    def test_aggregate_csv_bytes_are_pinned(self, tmp_path):
+        # sha256 of the desk pass's gap_sweep CSV (README, Reproducing).
+        out = tmp_path / "gap_sweep.csv"
+        result = invoke("experiment", "--config", "scripts/configs/gap_sweep.json",
+                        "--reps", "6", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "666d5155a667fe93bb9d8261176186592e16fc6188d22643f23e492a0c871e19")
 
     def test_missing_config_file(self, tmp_path):
         result = invoke("experiment", "--config", str(tmp_path / "nope.json"))
@@ -518,14 +545,14 @@ def test_experiment_output_independent_of_thread_count(tmp_path):
     assert outputs["1"] == outputs["4"]
 
 
-def readme_commands(program: str = "alloc-bandit") -> list:
-    """The argv of every ``<program> ...`` line in README's ``sh`` blocks,
+def readme_commands() -> list:
+    """The argv of every ``alloc-bandit ...`` line in README's ``sh`` blocks,
     with backslash continuations joined and comments dropped."""
     with open(os.path.join(PKG_ROOT, "README.md")) as handle:
         blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(), re.S | re.M)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines
-            if line.startswith(program + " ")]
+            if line.startswith("alloc-bandit ")]
 
 
 def test_readme_has_an_example_of_every_subcommand():
@@ -541,9 +568,26 @@ def test_readme_examples_parse(argv, capsys):
         pytest.fail(f"alloc-bandit {' '.join(argv)}: {capsys.readouterr().err}")
 
 
+CONFIGS = sorted(glob.glob("scripts/configs/*.json", root_dir=PKG_ROOT))
+
+
+def readme_configs() -> set:
+    return {argv[argv.index("--config") + 1] for argv in readme_commands() if "--config" in argv}
+
+
 def test_readme_scripts_exist():
-    # A script that leaves the repo cannot stay in the docs either.
-    scripts = [argv[0] for argv in readme_commands("python") if argv[0].startswith("scripts/")]
-    assert scripts
-    for script in scripts:
-        assert os.path.isfile(os.path.join(PKG_ROOT, script)), script
+    # A config that leaves the repo cannot stay in the docs either.
+    for path in readme_configs():
+        assert os.path.isfile(os.path.join(PKG_ROOT, path)), path
+
+
+def test_readme_runs_every_committed_config():
+    assert set(CONFIGS) <= readme_configs()
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_committed_config_parses(path):
+    with open(os.path.join(PKG_ROOT, path)) as handle:
+        config = harness.ExperimentConfig.from_json(handle.read())
+    horizons = [config.instance_at(p).horizon for p in range(len(config.grid))]
+    assert all(type(n) is int for n in horizons)

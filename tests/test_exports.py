@@ -39,7 +39,7 @@ def used_names(tree: ast.AST) -> set:
 def test_callers_exist():
     # The exact set, so that a script leaving or arriving is seen here.
     assert [os.path.relpath(path, ROOT) for path in CALLERS] == [
-        "src/alloc_bandit/cli.py", "src/alloc_bandit/harness.py", "scripts/run_experiment_suite.py"]
+        "src/alloc_bandit/cli.py", "src/alloc_bandit/harness.py"]
     assert all(os.path.exists(path) for path in CALLERS)
 
 

@@ -272,10 +272,12 @@ def test_a_repeated_json_key_is_an_error(tmp_path, capsys, monkeypatch, text, ke
     monkeypatch.setenv("ALLOC_BANDIT_THREADS", "1")
     path = tmp_path / "doc.json"
     path.write_text(text)
-    assert cli.main(["experiment", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: duplicate JSON key {key!r}\n"
-    assert captured.out == ""
+    # --reps replaces the parsed count, so it cannot mask a bad file.
+    for extra in [[], ["--reps", "6"]]:
+        assert cli.main(["experiment", "--config", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: duplicate JSON key {key!r}\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("nus", ["04", {"a": 0.4}], ids=["string", "object"])
