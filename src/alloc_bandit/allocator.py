@@ -29,6 +29,7 @@ changes and carried forward after it; see ``_simulate``.
 
 from __future__ import annotations
 
+import errno
 import numbers
 import os
 from array import array
@@ -184,11 +185,12 @@ def _write_chunks(path: str, chunks: Iterable[str]) -> None:
     rename it into place, so a failure, even while producing a later chunk,
     never leaves partial output.
 
-    The temp file, under a random name, is created as a plain
-    ``open(path, "w")`` creates a file: mode 0o666, less the umask the OS
-    applies. An error creating or renaming the file names ``path``, not the
-    temp file.
+    Once ``path`` passes ``_check_target``, the temp file, under a random
+    name, is created as ``open(path, "w")`` creates a file (mode 0o666 less
+    the umask) and written as UTF-8 whatever the locale. An error creating
+    or renaming the file names ``path``, not the temp file.
     """
+    _check_target(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     try:
@@ -196,7 +198,7 @@ def _write_chunks(path: str, chunks: Iterable[str]) -> None:
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
         try:
             os.replace(tmp, path)
@@ -205,6 +207,20 @@ def _write_chunks(path: str, chunks: Iterable[str]) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _check_target(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, or should: its
+    directory is missing or no directory, or ``path`` exists and is not a
+    regular file (a directory, FIFO or device, which the rename fails on or replaces)."""
+    try:  # the trailing separator makes a non-directory fail (ENOTDIR), as the write does
+        os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(errno.EEXIST, "File exists and is not a regular file", path)
 
 
 def default_delta(horizon: int, num_jobs: int) -> float:

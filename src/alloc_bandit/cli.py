@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import math
-import os
 import re
 import sys
 
 import numpy as np
 
-from .allocator import PolicyOptions, atomic_write_text, run_episode
+from .allocator import MODES, PolicyOptions, _check_target, atomic_write_text, run_episode
 from .harness import (
     ExperimentConfig,
     emit_csv,
@@ -81,16 +79,6 @@ def _out_path(raw: str) -> str:
     return raw
 
 
-def _check_out(path: str) -> None:
-    """Raise before the run the OSError that writing ``path`` would raise after it."""
-    try:  # the trailing separator makes a non-directory fail (ENOTDIR), as the write does
-        os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    if os.path.isdir(path):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-
-
 def _parse_numbers(raw: str) -> tuple:
     """Plain numbers (lower bounds): ``inf`` is a number, ``null`` an error."""
     return _parse_float_list(raw, float, "numbers")
@@ -110,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="difficulties, e.g. 0.4,0.6 (null = unbounded)")
     run_p.add_argument("--horizon", type=_integer_text, required=True, help="number of steps")
     run_p.add_argument("--seed", type=_integer_text, default=0, help="environment seed (default 0)")
-    run_p.add_argument("--mode", choices=("weighted", "unweighted"), default="weighted")
+    run_p.add_argument("--mode", choices=MODES, default="weighted")
     run_p.add_argument(
         "--lower-bounds",
         type=_parse_numbers,
@@ -162,7 +150,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config) as handle:
+    with open(args.config, encoding="utf-8") as handle:  # JSON is UTF-8 (RFC 8259)
         config = ExperimentConfig.from_json(handle.read())
     if args.reps is not None:
         config = dataclasses.replace(config, replications=args.reps)
@@ -236,8 +224,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "out", None):
-            _check_out(args.out)
+        if getattr(args, "out", None):  # fail before the run, not after it
+            _check_target(args.out)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

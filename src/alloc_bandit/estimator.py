@@ -10,12 +10,12 @@ arithmetic free of infinities and matches the clamp updates
     upper_recip_t = max(upper_recip_{t-1}, recip_hat - radius)
 
 where ``recip_hat = sum_s w_s X_s / sum_s w_s M_s`` is the weighted
-reciprocal estimate. The sample weight ``w = 1 / (1 - M / nu_upper)``
-upweights allocations near the cut-off, whose outcomes carry low variance,
-and equals 1 while the upper bound is infinite. The radius is
-``confidence_radius_f(r_max, v2, delta) / sum_wm``, which ``update``
-computes inline so that a sample costs one call; the tests pin that copy
-to ``confidence_radius_f`` bit for bit.
+reciprocal estimate. The sample weight ``w = 1 / (1 - mu)``, ``mu = M /
+nu_upper``, upweights allocations near the cut-off, whose outcomes carry
+low variance, and is 1 while the upper bound is infinite. Unweighted mode
+is this update with mu taken as 0, so w = 1. ``update`` computes the
+radius ``confidence_radius_f(r_max, v2, delta) / sum_wm`` inline, one
+call per sample; the tests pin it to ``confidence_radius_f`` bit for bit.
 
 The state holds only what the policy reads; the regret analysis's counts
 (updates t, fully allocated steps T) live with the test oracle.
@@ -83,26 +83,22 @@ class EstimatorState:
 
         Requires 0 < m <= nu_lower (the policy never allocates past its
         own lower bound) and x in {0, 1}; nothing checks this. The weight
-        uses the pre-update upper bound; the variance proxy uses the
-        pre-update lower bound against the full weighted mass. The radius
-        repeats ``confidence_radius_f``'s operations in the same order, so
-        the two agree bit for bit. O(1) per call; mutates the state.
+        uses mu = m times the pre-update upper bound, or mu = 0 (so w = 1)
+        in unweighted mode; the variance proxy uses the pre-update lower
+        bound against the full weighted mass. The radius repeats
+        ``confidence_radius_f``'s operations in the same order, so the two
+        agree bit for bit. O(1) per call; mutates the state.
         """
         lower_prev = self.lower_recip
         upper_prev = self.upper_recip
-        if self.weighted:
-            mu = m * upper_prev
-            if mu >= 1.0 - 1e-12:
-                w = WEIGHT_CAP
-                self.weight_capped = True
-            else:
-                w = 1.0 / (1.0 - mu)
-            sum_wx = self.sum_wx + w * x
-            sum_wm = self.sum_wm + w * m
+        mu = m * upper_prev if self.weighted else 0.0
+        if mu >= 1.0 - 1e-12:
+            w = WEIGHT_CAP
+            self.weight_capped = True
         else:
-            w = 1.0
-            sum_wx = self.sum_wx + x
-            sum_wm = self.sum_wm + m
+            w = 1.0 / (1.0 - mu)
+        sum_wx = self.sum_wx + w * x
+        sum_wm = self.sum_wm + w * m
         self.sum_wx = sum_wx
         self.sum_wm = sum_wm
         r_max = self.r_max

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from alloc_bandit import cli, harness
+from alloc_bandit import allocator, cli, harness
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -202,7 +202,8 @@ class TestOutputFiles:
         ("missing_dir/x.csv", "[Errno 2] No such file or directory"),
         ("a_dir", "[Errno 21] Is a directory"),
         ("a_file/x.csv", "[Errno 20] Not a directory"),
-    ], ids=["missing-dir", "is-a-dir", "not-a-dir"])
+        ("a_fifo", "[Errno 17] File exists and is not a regular file"),
+    ], ids=["missing-dir", "is-a-dir", "not-a-dir", "not-regular"])
     def test_a_bad_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys,
                                             argv, runner, bad, message):
         # The write comes after the whole run; its error must not wait for it.
@@ -213,14 +214,50 @@ class TestOutputFiles:
         }))
         (tmp_path / "a_dir").mkdir()
         (tmp_path / "a_file").write_text("")
+        os.mkfifo(tmp_path / "a_fifo")
         monkeypatch.setattr(cli, runner, lambda *args: pytest.fail(f"{runner} ran"))
         out = str(tmp_path / bad)
         assert cli.main([a.format(config=config) for a in argv] + ["--out", out]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}: {out!r}\n"
         assert captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file", "exp.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a_dir", "a_fifo", "a_file", "exp.json"]
         assert list((tmp_path / "a_dir").iterdir()) == []
+        assert stat.S_ISFIFO(os.stat(tmp_path / "a_fifo").st_mode)
+
+    def test_the_write_refuses_a_non_regular_file(self, tmp_path):
+        # Checked again where the file is written, not only before the run:
+        # the rename would replace a FIFO (or, as root, /dev/null).
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError) as info:
+            allocator.atomic_write_text(str(fifo), "x\n")
+        assert str(info.value) == f"[Errno 17] File exists and is not a regular file: {str(fifo)!r}"
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    @pytest.mark.parametrize("ensure_ascii", [False, True], ids=["raw-utf8", "escaped"])
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path, ensure_ascii):
+        # An arm name outside ASCII, read from a raw UTF-8 or an escaped
+        # config, written to the CSV under an ASCII locale. The experiment
+        # id stays ASCII: stdout is still in the locale's encoding.
+        config = tmp_path / "exp.json"
+        config.write_bytes(json.dumps({
+            "experiment_id": "utf8", "nus": [0.4, 0.6], "sweep": "horizon",
+            "grid": [20], "replications": 2, "arms": [{"name": "gew\u00e4"}],
+        }, ensure_ascii=ensure_ascii).encode("utf-8"))
+        locales = {
+            "ascii": {"LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            "utf8": {"PYTHONUTF8": "1"},
+        }
+        for name, env in locales.items():
+            result = invoke("experiment", "--config", str(config),
+                            "--out", str(tmp_path / f"{name}.csv"), env=env)
+            assert result.returncode == 0, result.stderr
+        written = (tmp_path / "ascii.csv").read_bytes()
+        assert "gew\u00e4".encode("utf-8") in written
+        assert written == (tmp_path / "utf8.csv").read_bytes()
 
 
 class TestExperimentCommand:

@@ -110,13 +110,17 @@ class TestUpdate:
         assert state.full_alloc_steps == 1
         assert state.t == 2
 
-    def test_weight_cap_flag(self):
-        state = EstimatorState(0.5, 0.01)
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_weight_cap_flag(self, weighted):
+        # m * upper_recip = 1 caps the weight; unweighted mode takes mu = 0
+        # whatever the upper bound, so its weight stays exactly 1.
+        state = EstimatorState(0.5, 0.01, weighted=weighted)
         state.lower_recip = 2.0
         state.upper_recip = 2.0
         state.update(0.5, 1)
-        assert state.weight_capped
-        assert state.r_max == 1e12
+        assert state.weight_capped == weighted
+        assert state.r_max == (1e12 if weighted else 1.0)
+        assert state.sum_wm == (5e11 if weighted else 0.5)
 
     def test_unweighted_mode_reduces_to_plain_ratio(self):
         rng = split_rng(11)
